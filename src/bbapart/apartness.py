@@ -209,7 +209,7 @@ def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int) -> Der
             return memo[(p, q)]
         bound = rel.rounds[(p, q)]
 
-        def tag_for(q1, q2):
+        def tag_for(p1, q1, q2):
             for tag, pair in ((TAG_LEFT, (p, q1)),
                               (TAG_RIGHT_BWD, (q2, p1)),
                               (TAG_RIGHT_FWD, (p1, q2))):
@@ -220,7 +220,7 @@ def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int) -> Der
         for label, p1 in closed.out(p):
             assignment = []
             for q1, q2 in tc.triples(q, label):
-                choice = tag_for(q1, q2)
+                choice = tag_for(p1, q1, q2)
                 if choice is None:
                     break
                 assignment.append((q1, q2, choice))

@@ -138,12 +138,13 @@ def cmd_mc(args) -> int:
     l = reflexive_closure(_load_lts(args))
     f = _formula(args)
     p = _state(l, args.state)
-    holds = SatEvaluator(l).holds(p, f)
+    ev = SatEvaluator(l)
+    holds = ev.holds(p, f)
     payload = {"state": l.state_name(p),
                "formula": format_formula(f, silent_label=args.tau_label),
                "holds": holds}
     if holds and isinstance(f, Diamond):
-        w = diamond_witness(l, p, f.left, f.label, f.right)
+        w = diamond_witness(l, p, f.left, f.label, f.right, ev)
         payload["witness"] = {"path": [l.state_name(s) for s in w.path],
                               "pre": l.state_name(w.pre),
                               "post": l.state_name(w.post)}

@@ -228,7 +228,7 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
         return _sorted_dedup(out)
 
     def synth_diamond(f: Diamond, p: int, q: int, depth: int) -> PFormula:
-        w = diamond_witness(closed, p, f.left, f.label, f.right)
+        w = diamond_witness(closed, p, f.left, f.label, f.right, ev)
         if w is None:
             raise InternalInvariantError("no witness for a satisfied diamond")
         p_delta = realize(f.left, depth)

@@ -12,7 +12,8 @@ for conjuncts on the right of a diamond.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
 from .lts import (
     TAU,
@@ -41,19 +42,65 @@ class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
-class Neg(Formula):
+def _children(f: Formula) -> tuple:
+    if isinstance(f, Neg):
+        return (f.child,)
+    if isinstance(f, (And, Diamond)):
+        return (f.left, f.right)
+    return ()
+
+
+def _formula_eq(f: Formula, g: Formula) -> bool:
+    """Structural equality by an explicit walk over pairs of nodes; cached
+    hashes reject most unequal pairs at once."""
+    stack = [(f, g)]
+    seen = set()
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if type(a) is not type(b) or hash(a) != hash(b):
+            return False
+        if isinstance(a, Diamond) and a.label != b.label:
+            return False
+        stack.extend(zip(_children(a), _children(b)))
+    return True
+
+
+class _Node(Formula):
+    """A compound HMLU node: its hash is computed once, from its fields
+    (children give their cached hashes), so neither ``hash`` nor ``==``
+    recurses."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((type(self).__name__, *vars(self).values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return _formula_eq(self, other)
+
+
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     child: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
+@dataclass(frozen=True, eq=False)
+class Diamond(_Node):
     left: Formula
     label: ActionLabel
     right: Formula
@@ -253,8 +300,10 @@ def p_embed(f: PFormula) -> Formula:
 class SatEvaluator:
     """Bottom-up satisfaction sets with a memo shared across queries.
 
-    Requires reflexive silent steps; raises :class:`NonReflexiveLtsError`
-    otherwise.
+    The memo holds one int bitmask per subformula (bit ``p`` set when state
+    ``p`` satisfies it), filled by an explicit post-order walk, so formulas
+    of any depth are checked in O(|f| * (n + m)).  Requires reflexive
+    silent steps; raises :class:`NonReflexiveLtsError` otherwise.
     """
 
     def __init__(self, l: Lts):
@@ -263,50 +312,89 @@ class SatEvaluator:
                 "satisfaction is defined on LTSs with reflexive silent steps; "
                 "apply reflexive_closure first")
         self.lts = l
-        self._all = frozenset(range(l.n_states))
+        self._all = (1 << l.n_states) - 1
         self._memo: dict = {}
+        # Silent predecessors without the reflexive self-loops, which never
+        # extend a backward search; states with none are absent.
+        self._tau_pred = {}
+        for q, srcs in l.predecessors(TAU).items():
+            proper = tuple(p for p in srcs if p != q)
+            if proper:
+                self._tau_pred[q] = proper
+
+    def mask(self, f: Formula) -> int:
+        """The states satisfying ``f``, as a bitmask."""
+        memo = self._memo
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in memo:
+                stack.pop()
+                continue
+            missing = [c for c in _children(g) if c not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            if isinstance(g, Top):
+                memo[g] = self._all
+            elif isinstance(g, Neg):
+                memo[g] = self._all ^ memo[g.child]
+            elif isinstance(g, And):
+                memo[g] = memo[g.left] & memo[g.right]
+            elif isinstance(g, Diamond):
+                memo[g] = self._diamond(memo[g.left], g.label, memo[g.right])
+            else:
+                raise TypeError(g)
+        return memo[f]
+
+    def _diamond(self, left: int, label: ActionLabel, right: int) -> int:
+        """States of ``left`` with a silent path inside ``left`` to a state
+        with a ``label``-step into ``right``: the label-predecessors of
+        ``right`` in ``left``, then one backward BFS along silent steps."""
+        n = self.lts.n_states
+        in_left = _flags(left, n)
+        label_pred = self.lts.predecessors(label)
+        found = {p for q in compress(range(n), _flags(right, n))
+                 for p in label_pred.get(q, ()) if in_left[p]}
+        tau_pred = self._tau_pred
+        stack = [p for p in found if p in tau_pred]
+        while stack:
+            for p in tau_pred[stack.pop()]:
+                if in_left[p] and p not in found:
+                    found.add(p)
+                    if p in tau_pred:
+                        stack.append(p)
+        flags = bytearray(n)
+        for p in found:
+            flags[p] = 1
+        return int(flags[::-1].translate(_FLAGS_TO_DIGITS), 2)
 
     def set(self, g: Formula) -> frozenset:
-        memo = self._memo
-        if g in memo:
-            return memo[g]
-        l = self.lts
-        if isinstance(g, Top):
-            s = self._all
-        elif isinstance(g, Neg):
-            s = self._all - self.set(g.child)
-        elif isinstance(g, And):
-            s = self.set(g.left) & self.set(g.right)
-        elif isinstance(g, Diamond):
-            s_left = self.set(g.left)
-            s_right = self.set(g.right)
-            # Targets: states in s_left with a g.label-step into s_right.
-            targets = {p for p in s_left
-                       if any(dst in s_right for dst in l.succ(p, g.label))}
-            # Backward tau-closure of the targets within s_left.
-            acc = set(targets)
-            changed = True
-            while changed:
-                changed = False
-                for p in s_left - acc:
-                    if any(dst in acc for dst in l.succ(p, TAU)):
-                        acc.add(p)
-                        changed = True
-            s = frozenset(acc)
-        else:
-            raise TypeError(g)
-        memo[g] = s
-        return s
+        return _members(self.mask(g), self.lts.n_states)
 
     def holds(self, p: int, g: Formula) -> bool:
-        return p in self.set(g)
+        return bool(self.mask(g) >> p & 1)
+
+
+_DIGITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_FLAGS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags(mask: int, n: int) -> bytes:
+    """Byte ``p`` is 1 when bit ``p`` of ``mask`` is set, else 0."""
+    return format(mask, f"0{n}b").encode()[::-1].translate(_DIGITS_TO_FLAGS)
+
+
+def _members(mask: int, n: int) -> frozenset:
+    return frozenset(compress(range(n), _flags(mask, n)))
 
 
 def sat_set(l: Lts, f: Formula) -> dict:
     """Satisfaction sets, one per subformula of ``f``."""
     ev = SatEvaluator(l)
-    ev.set(f)
-    return dict(ev._memo)
+    ev.mask(f)
+    return {g: _members(m, l.n_states) for g, m in ev._memo.items()}
 
 
 def satisfies(l: Lts, p: int, f: Formula) -> bool:
@@ -359,14 +447,17 @@ class DiamondWitness:
 
 
 def diamond_witness(l: Lts, p: int, delta: Formula, label: ActionLabel,
-                    psi: Formula) -> DiamondWitness | None:
+                    psi: Formula, ev: SatEvaluator | None = None
+                    ) -> DiamondWitness | None:
     """Materialize the existential in the diamond semantics.
 
     Returns a shortest witness path (ties broken towards smaller state
-    indices), or None when the diamond does not hold at ``p``.
+    indices), or None when the diamond does not hold at ``p``.  Pass the
+    caller's evaluator of ``l`` as ``ev`` to reuse its memo.
     """
-    s_delta = sat_set(l, delta)[delta]
-    s_psi = sat_set(l, psi)[psi]
+    ev = SatEvaluator(l) if ev is None else ev
+    s_delta = ev.set(delta)
+    s_psi = ev.set(psi)
     if p not in s_delta:
         return None
     # BFS over s_delta, visiting successors in index order.
@@ -376,7 +467,7 @@ def diamond_witness(l: Lts, p: int, delta: Formula, label: ActionLabel,
     while frontier:
         nxt_frontier = []
         for cur in frontier:
-            for dst in sorted(l.succ(cur, TAU)):
+            for dst in l.succ(cur, TAU):
                 if dst in s_delta and dst not in parent:
                     parent[dst] = cur
                     nxt_frontier.append(dst)
@@ -463,9 +554,6 @@ def parse_formula(text: str, silent_label: str = "tau") -> Formula:
     tokens = _tokenize(text)
     idx = 0
 
-    def peek():
-        return tokens[idx] if idx < len(tokens) else None
-
     def take(expected=None):
         nonlocal idx
         if idx >= len(tokens):
@@ -480,73 +568,104 @@ def parse_formula(text: str, silent_label: str = "tau") -> Formula:
         tok = take()
         if tok in ("<", ">", "(", ")", "&", "|", "~"):
             raise FormulaParseError(f"expected action label, found {tok!r}")
-        return TAU if tok == silent_label else ActionLabel(tok)
+        lab = TAU if tok == silent_label else ActionLabel(tok)
+        take(">")
+        return lab
 
-    def formula() -> Formula:
+    # Open constructs wait on an explicit stack, so nesting depth is
+    # unbounded.  Frames are (kind, argument): "~" and "<" (with its label)
+    # for the prefixes, "(" before its operator, and "&)", "|)" or "<)"
+    # (with the left operand and label) for a binary operator awaiting its
+    # right operand and ")".
+    stack: list = []
+    while True:
         tok = take()
-        if tok == "T":
-            return TOP
-        if tok == "F":
-            return BOT
-        if tok == "~":
-            return Neg(formula())
-        if tok == "<":
-            lab = label()
-            take(">")
-            return Diamond(TOP, lab, formula())
-        if tok == "(":
-            left = formula()
-            op = take()
-            if op == "&":
-                result: Formula = And(left, formula())
-            elif op == "|":
-                result = f_or(left, formula())
-            elif op == "<":
-                lab = label()
-                take(">")
-                result = Diamond(left, lab, formula())
-            elif op == ")":
-                return left  # plain grouping
+        if tok in ("~", "(", "<"):
+            stack.append((tok, label() if tok == "<" else None))
+            continue
+        if tok not in ("T", "F"):
+            raise FormulaParseError(f"unexpected token {tok!r}")
+        value = TOP if tok == "T" else BOT
+        while stack:
+            kind, arg = stack.pop()
+            if kind == "~":
+                value = Neg(value)
+            elif kind == "<":
+                value = Diamond(TOP, arg, value)
+            elif kind == "(":
+                op = take()
+                if op == ")":  # plain grouping
+                    continue
+                if op not in ("&", "|", "<"):
+                    raise FormulaParseError(
+                        f"expected '&', '|' or '<', found {op!r}")
+                stack.append((op + ")", (value, label() if op == "<" else None)))
+                break
             else:
-                raise FormulaParseError(f"expected '&', '|' or '<', found {op!r}")
-            take(")")
-            return result
-        raise FormulaParseError(f"unexpected token {tok!r}")
+                left, lab = arg
+                value = (And(left, value) if kind == "&)" else
+                         f_or(left, value) if kind == "|)" else
+                         Diamond(left, lab, value))
+                take(")")
+        else:
+            break
 
-    result = formula()
     if idx != len(tokens):
         raise FormulaParseError(f"trailing input: {' '.join(tokens[idx:])!r}")
-    return result
+    return value
+
+
+def _opens_with_paren(f: Formula) -> bool:
+    """Whether the rendering of ``f`` starts with "("."""
+    if isinstance(f, Neg):
+        return _is_or(f.child)
+    return isinstance(f, And) or (isinstance(f, Diamond)
+                                  and not isinstance(f.left, Top))
+
+
+def _is_or(c: Formula) -> bool:
+    """``c`` is the body ~a & ~b of the Or sugar ~(~a & ~b)."""
+    return (isinstance(c, And) and isinstance(c.left, Neg)
+            and isinstance(c.right, Neg))
 
 
 def format_formula(f: Formula, silent_label: str = "tau") -> str:
     """Render in the text grammar; re-parsing yields an equal AST."""
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Neg):
-        if isinstance(f.child, Top):
-            return "F"
-        c = f.child
-        if (isinstance(c, And) and isinstance(c.left, Neg)
-                and isinstance(c.right, Neg)):
-            # Or sugar: ~(~a & ~b)
-            a = format_formula(c.left.child, silent_label)
-            b = format_formula(c.right.child, silent_label)
-            return f"({a} | {b})"
-        return f"~{format_formula(f.child, silent_label)}"
-    if isinstance(f, And):
-        return (f"({format_formula(f.left, silent_label)} & "
-                f"{format_formula(f.right, silent_label)})")
-    if isinstance(f, Diamond):
-        lab = silent_label if f.label.silent else f.label.name
-        right = format_formula(f.right, silent_label)
-        if isinstance(f.left, Top):
-            return f"<{lab}> {right}"
-        left = format_formula(f.left, silent_label)
-        if not left.startswith("("):
-            left = f"({left})"
-        return f"({left} <{lab}> {right})"
-    raise TypeError(f)
+    out = []
+    stack: list = [f]  # formulas still to render, and literal text
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, Top):
+            out.append("T")
+        elif isinstance(g, Neg):
+            c = g.child
+            if isinstance(c, Top):
+                out.append("F")
+            elif _is_or(c):
+                out.append("(")
+                stack += [")", c.right.child, " | ", c.left.child]
+            else:
+                out.append("~")
+                stack.append(c)
+        elif isinstance(g, And):
+            out.append("(")
+            stack += [")", g.right, " & ", g.left]
+        elif isinstance(g, Diamond):
+            lab = silent_label if g.label.silent else g.label.name
+            if isinstance(g.left, Top):
+                out.append(f"<{lab}> ")
+                stack.append(g.right)
+            elif _opens_with_paren(g.left):
+                out.append("(")
+                stack += [")", g.right, f" <{lab}> ", g.left]
+            else:
+                out.append("((")
+                stack += [")", g.right, f") <{lab}> ", g.left]
+        else:
+            raise TypeError(g)
+    return "".join(out)
 
 
 def format_pformula(f: PFormula, silent_label: str = "tau") -> str:

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 
 class AutParseError(ValueError):
@@ -61,6 +62,18 @@ class ActionLabel:
 
 TAU = ActionLabel()
 
+_NO_STEPS = MappingProxyType({})
+
+
+def _group(triples) -> dict:
+    """``{label: {state: (other, ...)}}`` from (label, state, other)
+    triples, keeping their order within each group."""
+    index: dict = {}
+    for label, state, other in triples:
+        index.setdefault(label, {}).setdefault(state, []).append(other)
+    return {label: {state: tuple(others) for state, others in by_state.items()}
+            for label, by_state in index.items()}
+
 
 @dataclass(frozen=True)
 class Lts:
@@ -104,8 +117,24 @@ class Lts:
         """Outgoing (label, target) pairs of ``p``, sorted by (label, target)."""
         return self._out[p]
 
+    @cached_property
+    def _succ_index(self) -> dict:
+        return _group((label, p, dst) for p, out in enumerate(self._out)
+                      for label, dst in out)
+
+    @cached_property
+    def _pred_index(self) -> dict:
+        return _group((label, dst, p) for p, out in enumerate(self._out)
+                      for label, dst in out)
+
     def succ(self, p: int, label: ActionLabel) -> tuple:
-        return tuple(dst for lab, dst in self._out[p] if lab == label)
+        """Targets of ``label``-steps from ``p``, ascending."""
+        return self._succ_index.get(label, _NO_STEPS).get(p, ())
+
+    def predecessors(self, label: ActionLabel) -> dict:
+        """Sources of ``label``-steps, ascending, keyed by target state;
+        targets without such a step are absent."""
+        return self._pred_index.get(label, _NO_STEPS)
 
     @cached_property
     def has_reflexive_silent_steps(self) -> bool:
@@ -152,6 +181,7 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
         raise AutParseError(f"initial state {initial} out of range", 1)
 
     transitions = set()
+    labels: dict = {}  # one ActionLabel per token, so lookups hit by identity
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -168,7 +198,9 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
             token = token[1:-1]
         if src >= n_states or dst >= n_states:
             raise AutParseError(f"out-of-range state index in {line!r}", lineno)
-        label = TAU if token == silent_label else ActionLabel(token)
+        label = labels.get(token)
+        if label is None:
+            label = labels[token] = TAU if token == silent_label else ActionLabel(token)
         transitions.add((src, label, dst))
     return Lts(n_states, frozenset(transitions), initial)
 

@@ -28,8 +28,8 @@ from .logic import (
     TOP,
     BOT,
     enumerate_pformulas,
+    _p_sat,
     p_embed,
-    p_satisfies,
 )
 from .lts import Lts, reflexive_closure, tau_closure
 
@@ -238,11 +238,13 @@ def p_embed_agreement_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     """The direct P-formula evaluator and the HMLU checker applied to the
     embedding must agree everywhere."""
     closed, ev, formulas = _enum_context(l, depth)
+    psat: dict = {}  # the P-evaluator's own memo, shared across formulas
     out = []
     for g in formulas:
         sat = ev.set(p_embed(g))
+        direct = _p_sat(closed, g, psat)
         for p in range(closed.n_states):
-            if p_satisfies(closed, p, g) != (p in sat):
+            if (p in direct) != (p in sat):
                 out.append({"formula": repr(g), "p": p})
     return out
 
@@ -452,9 +454,11 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
         "bisimilar": (p, q) in bs.bisimilarity(l, kind),
     }
     if result["apart"] and kind in ("branching", "dbranching"):
-        # Certificates come from the directed engine; for the symmetric
-        # kind the held direction of the directed relation supplies one.
-        db = ap.directed_branching_apartness(l)
+        # Certificates come from the directed engine (its round stamps, not
+        # the four-rule engine's); for the symmetric kind the held
+        # direction of the directed relation supplies one.
+        db = (apart if kind == "dbranching" and not nonreflexive
+              else ap.directed_branching_apartness(l))
         pair = (p, q) if (p, q) in db else (q, p)
         result["derivation"] = ap.extract_derivation(l, db, *pair).to_json(l)
     return result

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bbapart.cli import main
 from bbapart.generate import GenParams, campaign_instances, random_lts
-from bbapart.lts import render_aut
+from bbapart.lts import TAU, ActionLabel, Lts, render_aut
 from bbapart.validate import (
     NotApartError,
     check_pair,
@@ -183,6 +183,35 @@ def test_cli_mc(capsys):
     assert code == 0
     assert out["holds"] is True
     assert out["witness"] == {"path": ["s"], "pre": "s", "post": "s2"}
+
+
+def test_cli_mc_deeply_nested(capsys, tmp_path):
+    # 1200 nested <a> on an a-chain of 1200 steps: deeper than Python's
+    # default recursion limit allows a recursive checker to go.
+    d = 1200
+    aut = tmp_path / "chain.aut"
+    aut.write_text(render_aut(Lts(d + 1, frozenset(
+        (i, ActionLabel("a"), i + 1) for i in range(d)))))
+    code, out = run_cli(capsys, "mc", "--lts", str(aut), "--state", "0",
+                        "--formula", "<a> " * d + "T")
+    assert code == 0
+    assert out["holds"] is True
+    assert out["witness"] == {"path": ["0"], "pre": "0", "post": "1"}
+
+
+@pytest.mark.parametrize("formula", ["<a> T", "((<a> T) <a> T)"])
+def test_cli_mc_forward_tau_chain(capsys, tmp_path, formula):
+    # 0 ->tau 1 ->tau ... ->tau m-1 ->a m: the witness is the whole chain.
+    m = 2000
+    steps = {(i, TAU, i + 1) for i in range(m - 1)} | {(m - 1, ActionLabel("a"), m)}
+    aut = tmp_path / "forward.aut"
+    aut.write_text(render_aut(Lts(m + 1, frozenset(steps))))
+    code, out = run_cli(capsys, "mc", "--lts", str(aut), "--state", "0",
+                        "--formula", formula)
+    assert code == 0
+    assert out["holds"] is True
+    assert out["witness"] == {"path": [str(i) for i in range(m)],
+                              "pre": str(m - 1), "post": str(m)}
 
 
 def test_cli_convert(capsys):

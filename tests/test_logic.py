@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbapart.logic import (
     And,
@@ -12,6 +13,7 @@ from bbapart.logic import (
     TOP,
     canonical_key,
     diamond,
+    SatEvaluator,
     diamond_witness,
     enumerate_pformulas,
     f_or,
@@ -26,7 +28,15 @@ from bbapart.logic import (
     parse_formula,
     satisfies,
 )
-from bbapart.lts import ActionLabel, NonReflexiveLtsError, TAU, reflexive_closure
+from bbapart.generate import GenParams, random_lts
+from bbapart.lts import (
+    ActionLabel,
+    Lts,
+    NonReflexiveLtsError,
+    TAU,
+    constrained_tau_reach,
+    reflexive_closure,
+)
 
 from conftest import s
 
@@ -182,3 +192,87 @@ def test_format_pformula_examples():
     assert format_pformula(f) == "((<d> T) <c> T)"
     g = PDiamond(PTOP, TAU, (PDiamond(PTOP, C),), (PDiamond(PTOP, B),))
     assert format_pformula(g) == "<tau> (<c> T & ~<b> T)"
+
+
+def _deep_formula(depth: int):
+    """Alternating diamonds, until-diamonds, negations and conjunctions."""
+    f = TOP
+    for i in range(depth):
+        kind = i % 4
+        if kind == 0:
+            f = diamond(A, f)
+        elif kind == 1:
+            f = Diamond(diamond(B, TOP), TAU, f)
+        elif kind == 2:
+            f = Neg(f)
+        else:
+            f = And(f, f_or(TOP, diamond(C, TOP)))
+    return f
+
+
+def test_deep_formula_round_trip_and_hash():
+    f = _deep_formula(5000)
+    text = format_formula(f)
+    g = parse_formula(text)
+    assert g == f and g is not f
+    assert hash(g) == hash(f)
+    assert len({f, g}) == 1
+    assert format_formula(g) == text
+
+
+def test_deep_formula_checks():
+    # An a-chain 0 -> 1 -> ... -> d: d nested <a> hold at 0 and nowhere else.
+    d = 1500
+    l = reflexive_closure(Lts(d + 1, frozenset((i, A, i + 1) for i in range(d))))
+    f = TOP
+    for _ in range(d):
+        f = diamond(A, f)
+    ev = SatEvaluator(l)
+    assert ev.set(f) == {0}
+    assert ev.holds(0, f) and not ev.holds(1, f)
+
+
+def test_diamond_witness_reuses_evaluator(fixsr):
+    closed = reflexive_closure(fixsr)
+    ev = SatEvaluator(closed)
+    phi = Diamond(diamond(D, TOP), C, TOP)
+    assert ev.holds(s(fixsr, "s"), phi)
+    w = diamond_witness(closed, s(fixsr, "s"), phi.left, C, TOP, ev)
+    assert w == diamond_witness(closed, s(fixsr, "s"), phi.left, C, TOP)
+    assert w.post == s(fixsr, "s2")
+
+
+def _reference_sat(l, f) -> frozenset:
+    """The semantics read directly: a diamond holds at p when some state
+    silently reachable from p inside the left set has a labelled step into
+    the right set."""
+    if f == TOP:
+        return frozenset(range(l.n_states))
+    if isinstance(f, Neg):
+        return frozenset(range(l.n_states)) - _reference_sat(l, f.child)
+    if isinstance(f, And):
+        return _reference_sat(l, f.left) & _reference_sat(l, f.right)
+    left, right = _reference_sat(l, f.left), _reference_sat(l, f.right)
+    return frozenset(
+        p for p in range(l.n_states)
+        if any(dst in right for p1 in constrained_tau_reach(l, p, left)
+               for dst in l.succ(p1, f.label)))
+
+
+_hmlu = st.recursive(
+    st.just(TOP),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(And, sub, sub),
+        st.builds(Diamond, sub, st.sampled_from([TAU, A, B]), sub)),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7), _hmlu)
+def test_checker_matches_reference_semantics(seed, n, f):
+    l = reflexive_closure(random_lts(GenParams(n_states=n, seed=seed)))
+    ev = SatEvaluator(l)
+    expected = _reference_sat(l, f)
+    assert ev.set(f) == expected
+    assert all(ev.holds(p, f) == (p in expected) for p in range(n))

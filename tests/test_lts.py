@@ -116,3 +116,32 @@ def test_random_lts_render_round_trip(seed):
     again = parse_aut(render_aut(l))
     assert again.transitions == l.transitions
     assert again.n_states == l.n_states
+
+
+def _filtered_succ(l, p, label):
+    return tuple(dst for lab, dst in l.out(p) if lab == label)
+
+
+def _filtered_pred(l, q, label):
+    return tuple(src for src in range(l.n_states)
+                 for lab, dst in l.out(src) if lab == label and dst == q)
+
+
+def _assert_indices_agree(l):
+    labels = l.actions | {TAU, ActionLabel("unused")}
+    for label in labels:
+        for p in range(l.n_states):
+            assert l.succ(p, label) == _filtered_succ(l, p, label)
+            assert l.predecessors(label).get(p, ()) == _filtered_pred(l, p, label)
+
+
+@pytest.mark.parametrize("stem", ["fix1", "fixsr", "fixsr_s", "fixpq", "fixg2"])
+def test_indices_agree_on_fixtures(stem, request):
+    l = request.getfixturevalue(stem)
+    _assert_indices_agree(l)
+    _assert_indices_agree(reflexive_closure(l))
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(1, 12))
+def test_indices_agree_on_random_lts(seed, n):
+    _assert_indices_agree(random_lts(GenParams(n_states=n, seed=seed)))
