@@ -160,12 +160,13 @@ class ChildStep:
 
 @dataclass(frozen=True)
 class Derivation:
-    """A tree certificate of directed branching apartness.
+    """A certificate of directed branching apartness.
 
     Each node records the witness step p -label-> p1 and, for every pair
     (q', q'') with q ->>tau q' -label-> q'', one sub-certificate: for the
     pair (p, q') (tag left), (p1, q'') (tag rightFwd), or (q'', p1)
-    (tag rightBwd).
+    (tag rightBwd).  Sub-certificates may be shared, so a certificate is
+    a DAG; its tree is the unfolding.
     """
 
     left: int
@@ -174,19 +175,46 @@ class Derivation:
     children: tuple  # of ChildStep
 
     def to_json(self, lts: Lts | None = None):
+        """The certificate as JSON, linear in the size of the DAG.
+
+        A sub-derivation reached along two or more edges of the DAG is
+        written in full once, at its first occurrence in pre-order, with
+        an ``"id"`` (numbered from 0 in that order); its later occurrences
+        are ``{"ref": id}``.  Replacing each ref by the full copy gives the
+        unfolded tree, and a derivation without shared nodes is written as
+        that tree.
+        """
         name = lts.state_name if lts is not None else str
-        return {
-            "conclusion": {"left": name(self.left), "right": name(self.right),
-                           "kind": "db"},
-            "witness": {"from": name(self.witness[0]),
-                        "label": str(self.witness[1]),
-                        "to": name(self.witness[2])},
-            "children": [
+        in_edges: dict = {}
+        stack = [self]
+        while stack:
+            for c in stack.pop().children:
+                n = in_edges.get(id(c.sub), 0)
+                in_edges[id(c.sub)] = n + 1
+                if not n:
+                    stack.append(c.sub)
+        ids: dict = {}
+        root: dict = {}
+        stack = [(self, root)]
+        while stack:
+            node, out = stack.pop()
+            if id(node) in ids:
+                out["ref"] = ids[id(node)]
+                continue
+            if in_edges.get(id(node), 0) > 1:
+                out["id"] = ids[id(node)] = len(ids)
+            out["conclusion"] = {"left": name(node.left),
+                                 "right": name(node.right), "kind": "db"}
+            out["witness"] = {"from": name(node.witness[0]),
+                              "label": str(node.witness[1]),
+                              "to": name(node.witness[2])}
+            out["children"] = [
                 {"qPrime": name(c.q_prime), "qDoublePrime": name(c.q_dprime),
-                 "tag": c.tag, "sub": c.sub.to_json(lts)}
-                for c in self.children
-            ],
-        }
+                 "tag": c.tag, "sub": {}}
+                for c in node.children]
+            stack.extend((c.sub, entry["sub"]) for c, entry in
+                         reversed(list(zip(node.children, out["children"]))))
+        return root
 
 
 def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int) -> Derivation:

@@ -15,12 +15,13 @@ from pathlib import Path
 
 from .apartness import InternalInvariantError
 from .distinguish import (
+    FormulaTooDeepError,
     NotDistinguishingError,
     pformula_from_hmlu,
     simplify,
     verify_distinguishes,
 )
-from .generate import GenParams, random_lts
+from .generate import GenParams, campaign_instances, random_lts
 from .logic import (
     Diamond,
     FormulaParseError,
@@ -190,7 +191,14 @@ def cmd_random(args) -> int:
 
 def cmd_validate(args) -> int:
     if args.campaign:
-        report = run_campaign(count=args.count, seed=args.seed)
+        params = dict(min_states=args.min_states, max_states=args.max_states,
+                      visible_actions=args.actions,
+                      visible_density=args.vdensity, tau_density=args.tdensity)
+        try:  # the first instance carries every setting: check it first
+            next(campaign_instances(1, args.seed, **params))
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        report = run_campaign(count=args.count, seed=args.seed, **params)
     elif args.lts:
         report = cross_validate(_load_lts(args))
     else:
@@ -262,6 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--campaign", action="store_true")
     sub.add_argument("--count", type=int, default=200)
     sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--min-states", type=int, default=2,
+                     help="campaign: smallest LTS (sizes cycle up to --max-states)")
+    sub.add_argument("--max-states", type=int, default=8)
+    sub.add_argument("--actions", type=int, default=2,
+                     help="campaign: visible actions per LTS")
+    sub.add_argument("--vdensity", type=float, default=1.5)
+    sub.add_argument("--tdensity", type=float, default=0.7)
     sub.set_defaults(func=cmd_validate)
 
     return parser
@@ -278,7 +293,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NotDistinguishingError as exc:
+    except (NotDistinguishingError, FormulaTooDeepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

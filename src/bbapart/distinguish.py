@@ -27,9 +27,10 @@ from .logic import (
     PFormula,
     PTop,
     SatEvaluator,
-    Top,
     PAnd,
     POr,
+    _children,
+    _fold,
     canonical_key,
     diamond_witness,
     p_and_all,
@@ -47,6 +48,17 @@ class InvalidDerivationError(ValueError):
 
 class NotDistinguishingError(ValueError):
     """Synthesis from a formula that separates neither direction."""
+
+
+class FormulaTooDeepError(ValueError):
+    """Synthesis from a formula nested deeper than
+    :data:`MAX_SYNTHESIS_DEPTH`."""
+
+
+# HMLU -> P synthesis recurses once per nesting level of the source formula
+# (up to three Python frames per diamond), so deeper formulas are refused
+# up front instead of reaching the interpreter's recursion limit.
+MAX_SYNTHESIS_DEPTH = 200
 
 
 DIRECTION_LEFT = "leftHolds"
@@ -113,12 +125,16 @@ def formula_from_derivation(l: Lts, d: Derivation) -> PFormula:
     Each node becomes Delta<alpha>Psi: Delta conjoins the formulas of the
     left-tagged children, Psi's positive conjuncts come from the
     rightFwd-tagged children and its negated conjuncts from the
-    rightBwd-tagged ones.  The derivation is re-validated first.
+    rightBwd-tagged ones.  The derivation is re-validated first.  Each
+    node of the derivation DAG is validated and synthesised once, so time
+    is linear in the DAG, not in the tree it unfolds to.
     """
     closed = reflexive_closure(l)
     tc = tau_closure(closed)
 
-    def build(node: Derivation) -> PFormula:
+    def premises(node: Derivation) -> list:
+        """Validate ``node``; its sub-derivations, left-tagged first, then
+        rightFwd, then rightBwd."""
         p, label, p1 = node.witness
         if p != node.left:
             raise InvalidDerivationError(
@@ -131,45 +147,41 @@ def formula_from_derivation(l: Lts, d: Derivation) -> PFormula:
         if covered != expected or len(node.children) != len(expected):
             raise InvalidDerivationError(
                 f"children cover {sorted(covered)}, need {sorted(expected)}")
-        lefts, pos, neg = [], [], []
+        groups = {TAG_LEFT: [], TAG_RIGHT_FWD: [], TAG_RIGHT_BWD: []}
         for c in node.children:
             if c.tag == TAG_LEFT:
                 want = (node.left, c.q_prime)
-                lefts.append(c)
             elif c.tag == TAG_RIGHT_FWD:
                 want = (p1, c.q_dprime)
-                pos.append(c)
             elif c.tag == TAG_RIGHT_BWD:
                 want = (c.q_dprime, p1)
-                neg.append(c)
             else:
                 raise InvalidDerivationError(f"unknown child tag {c.tag!r}")
             got = (c.sub.left, c.sub.right)
             if got != want:
                 raise InvalidDerivationError(
                     f"{c.tag} child proves {got}, expected {want}")
-        delta = p_and_all(_sorted_dedup(build(c.sub) for c in lefts))
-        return PDiamond(delta, label,
-                        _sorted_dedup(build(c.sub) for c in pos),
-                        _sorted_dedup(build(c.sub) for c in neg))
+            groups[c.tag].append(c.sub)
+        return [sub for group in groups.values() for sub in group]
 
-    return build(d)
+    def conclude(node: Derivation, formulas: list) -> PFormula:
+        n_left = sum(c.tag == TAG_LEFT for c in node.children)
+        n_pos = n_left + sum(c.tag == TAG_RIGHT_FWD for c in node.children)
+        return PDiamond(p_and_all(_sorted_dedup(formulas[:n_left])),
+                        node.witness[1],
+                        _sorted_dedup(formulas[n_left:n_pos]),
+                        _sorted_dedup(formulas[n_pos:]))
+
+    return _fold(d, premises, conclude)
 
 
 # ---------------------------------------------------------------------------
 # HMLU formula -> P-formula
 
 
-def _formula_size(f: Formula) -> int:
-    if isinstance(f, Top):
-        return 1
-    if isinstance(f, Neg):
-        return 1 + _formula_size(f.child)
-    if isinstance(f, And):
-        return 1 + _formula_size(f.left) + _formula_size(f.right)
-    if isinstance(f, Diamond):
-        return 1 + _formula_size(f.left) + _formula_size(f.right)
-    raise TypeError(f)
+def _formula_depth(f: Formula) -> int:
+    """Operator nesting depth of ``f``: 0 for T, 1 for ``<a> T``."""
+    return _fold(f, _children, lambda g, sub: 1 + max(sub) if sub else 0)
 
 
 def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
@@ -181,20 +193,26 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
     a recursive call on the subformula yields one P-formula, deduplicated
     into the sets that drive the stage chain.  Raises
     :class:`NotDistinguishingError` when ``phi`` separates neither
-    direction.
+    direction, and :class:`FormulaTooDeepError` when it is nested deeper
+    than :data:`MAX_SYNTHESIS_DEPTH`.
     """
+    guard = _formula_depth(phi)
+    if guard > MAX_SYNTHESIS_DEPTH:
+        raise FormulaTooDeepError(
+            f"formula is nested {guard} deep; synthesis accepts at most "
+            f"{MAX_SYNTHESIS_DEPTH}")
     closed = reflexive_closure(l)
     ev = SatEvaluator(closed)
     memo: dict = {}
+    realized: dict = {}
     psat: dict = {}
-    guard = _formula_size(phi) + 1
 
     def th(g: PFormula) -> frozenset:
         return _p_sat(closed, g, psat)
 
     def synth(f: Formula, p: int, q: int, depth: int) -> PFormula:
         if depth > guard:
-            raise InternalInvariantError("synthesis recursion exceeded formula size")
+            raise InternalInvariantError("synthesis recursion exceeded formula depth")
         # Normalize so that p satisfies f and q does not.
         if not ev.holds(p, f):
             p, q = q, p
@@ -218,14 +236,17 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
 
     def realize(sub: Formula, depth: int) -> tuple:
         """Per-pair distinguishers for a subformula, over all pairs of a
-        satisfying and a non-satisfying state."""
-        sat = ev.set(sub)
-        out = []
-        for r in sorted(sat):
-            for s in range(closed.n_states):
-                if s not in sat:
-                    out.append(synth(sub, r, s, depth + 1))
-        return _sorted_dedup(out)
+        satisfying and a non-satisfying state; computed once per
+        subformula."""
+        if sub not in realized:
+            sat = ev.set(sub)
+            out = []
+            for r in sorted(sat):
+                for s in range(closed.n_states):
+                    if s not in sat:
+                        out.append(synth(sub, r, s, depth + 1))
+            realized[sub] = _sorted_dedup(out)
+        return realized[sub]
 
     def synth_diamond(f: Diamond, p: int, q: int, depth: int) -> PFormula:
         w = diamond_witness(closed, p, f.left, f.label, f.right, ev)

@@ -74,6 +74,8 @@ def campaign_instances(count: int, seed: int, min_states: int = 2,
     """The seeded instance stream used by the validation campaign: state
     counts cycle through [min_states, max_states], per-instance seeds are
     derived from the campaign seed."""
+    if min_states > max_states:
+        raise ValueError("min_states must be <= max_states")
     span = max_states - min_states + 1
     for i in range(count):
         yield GenParams(n_states=min_states + i % span,

@@ -211,42 +211,118 @@ PTOP = PTop()
 PBOT = PBot()
 
 
-def sort_key(f: PFormula) -> tuple:
-    """A fixed total order on P-formulas, used for canonical list ordering."""
+def _fold(root, children, build, memo=None, key=id):
+    """Bottom-up evaluation over a DAG, by an explicit post-order walk.
+
+    ``children(node)`` is called once per node, before any of its children
+    is built; ``build(node, results)`` gets the children's results in the
+    same order.  Each node is built once per ``key`` (object identity by
+    default), so shared sub-terms cost nothing extra and depth is
+    unbounded.  Pass ``memo`` to share results between calls.
+    """
+    memo = {} if memo is None else memo
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        k = key(node)
+        if k in memo:
+            continue
+        if kids is None:
+            kids = children(node)
+            stack.append((node, kids))
+            stack.extend((c, None) for c in reversed(kids))
+        else:
+            memo[k] = build(node, [memo[key(c)] for c in kids])
+    return memo[key(root)]
+
+
+def _p_children(f: PFormula) -> tuple:
+    if isinstance(f, PDiamond):
+        return (f.left, *f.pos, *f.neg)
+    if isinstance(f, (PAnd, POr)):
+        return (f.left, f.right)
+    return ()
+
+
+def _cached(f: PFormula, attr: str, children, make):
+    """``make(g)`` for ``f``, stored on each node as the attribute ``attr``
+    and computed once per node, children first.  The attribute is not a
+    dataclass field, so ``==``, ``hash`` and ``repr`` ignore it."""
+    def missing(g):
+        return [c for c in children(g) if attr not in vars(c)]
+
+    def build(g, _):
+        object.__setattr__(g, attr, make(g))
+
+    if attr not in vars(f):
+        # Most new nodes are built from parts that have it: no walk then.
+        if missing(f):
+            _fold(f, missing, build)
+        else:
+            build(f, ())
+    return vars(f)[attr]
+
+
+def _make_sort_key(f: PFormula) -> tuple:
     if isinstance(f, PTop):
         return (0,)
     if isinstance(f, PBot):
         return (1,)
     if isinstance(f, PDiamond):
-        return (2, f.label.sort_key, sort_key(f.left),
-                tuple(sort_key(g) for g in f.pos), tuple(sort_key(g) for g in f.neg))
+        return (2, f.label.sort_key, f.left._sort_key,
+                tuple(g._sort_key for g in f.pos),
+                tuple(g._sort_key for g in f.neg))
     if isinstance(f, PAnd):
-        return (3, sort_key(f.left), sort_key(f.right))
+        return (3, f.left._sort_key, f.right._sort_key)
     if isinstance(f, POr):
-        return (4, sort_key(f.left), sort_key(f.right))
+        return (4, f.left._sort_key, f.right._sort_key)
+    raise TypeError(f)
+
+
+def sort_key(f: PFormula) -> tuple:
+    """A fixed total order on P-formulas, used for canonical list ordering.
+    Computed once per node and kept on it."""
+    return _cached(f, "_sort_key", _p_children, _make_sort_key)
+
+
+def _flat(f: PFormula) -> list:
+    """The operands of the And (or Or) chain rooted at ``f``: its nearest
+    descendants of another type."""
+    items, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is type(f):
+            stack.extend([g.left, g.right])
+        else:
+            items.append(g)
+    return items
+
+
+def _canon_children(f: PFormula) -> tuple:
+    if isinstance(f, (PAnd, POr)):
+        return tuple(_flat(f))
+    return _p_children(f)
+
+
+def _make_canonical_key(f: PFormula) -> tuple:
+    if isinstance(f, PTop):
+        return (0,)
+    if isinstance(f, PBot):
+        return (1,)
+    if isinstance(f, PDiamond):
+        return (2, f.label.sort_key, f.left._canonical_key,
+                tuple(sorted(g._canonical_key for g in f.pos)),
+                tuple(sorted(g._canonical_key for g in f.neg)))
+    if isinstance(f, (PAnd, POr)):
+        return (3 if isinstance(f, PAnd) else 4,
+                tuple(sorted(g._canonical_key for g in _flat(f))))
     raise TypeError(f)
 
 
 def canonical_key(f: PFormula) -> tuple:
-    """Structural identity after flattening And/Or chains into sorted lists."""
-    if isinstance(f, (PTop, PBot)):
-        return sort_key(f)
-    if isinstance(f, PDiamond):
-        return (2, f.label.sort_key, canonical_key(f.left),
-                tuple(sorted(canonical_key(g) for g in f.pos)),
-                tuple(sorted(canonical_key(g) for g in f.neg)))
-    if isinstance(f, (PAnd, POr)):
-        tag = 3 if isinstance(f, PAnd) else 4
-        items = []
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if type(g) is type(f):
-                stack.extend([g.left, g.right])
-            else:
-                items.append(canonical_key(g))
-        return (tag, tuple(sorted(items)))
-    raise TypeError(f)
+    """Structural identity after flattening And/Or chains into sorted lists.
+    Computed once per node and kept on it."""
+    return _cached(f, "_canonical_key", _canon_children, _make_canonical_key)
 
 
 def p_and_all(items) -> PFormula:
@@ -271,26 +347,34 @@ def p_or_all(items) -> PFormula:
     return result
 
 
-def p_embed(f: PFormula) -> Formula:
-    """View a P-formula as an HMLU formula.  The result is positive and good."""
+def _make_embedding(f: PFormula) -> Formula:
     if isinstance(f, PTop):
         return TOP
     if isinstance(f, PBot):
         return BOT
     if isinstance(f, PAnd):
-        return And(p_embed(f.left), p_embed(f.right))
+        return And(f.left._embedding, f.right._embedding)
     if isinstance(f, POr):
-        return f_or(p_embed(f.left), p_embed(f.right))
+        return f_or(f.left._embedding, f.right._embedding)
     if isinstance(f, PDiamond):
-        parts = [p_embed(g) for g in f.pos] + [Neg(p_embed(g)) for g in f.neg]
+        parts = ([g._embedding for g in f.pos]
+                 + [Neg(g._embedding) for g in f.neg])
         if not parts:
             right: Formula = TOP
         else:
             right = parts[-1]
             for g in reversed(parts[:-1]):
                 right = And(g, right)
-        return Diamond(p_embed(f.left), f.label, right)
+        return Diamond(f.left._embedding, f.label, right)
     raise TypeError(f)
+
+
+def p_embed(f: PFormula) -> Formula:
+    """View a P-formula as an HMLU formula.  The result is positive and good.
+    Computed once per node and kept on it, so a P-formula embedded twice,
+    or shared between formulas, gives the same HMLU object, which the
+    checker's memo then finds by identity."""
+    return _cached(f, "_embedding", _p_children, _make_embedding)
 
 
 # ---------------------------------------------------------------------------
@@ -407,34 +491,33 @@ def p_satisfies(l: Lts, p: int, f: PFormula) -> bool:
 
 
 def _p_sat(l: Lts, f: PFormula, memo: dict) -> frozenset:
-    key = canonical_key(f)
-    if key in memo:
-        return memo[key]
-    if isinstance(f, PTop):
-        s = frozenset(range(l.n_states))
-    elif isinstance(f, PBot):
-        s = frozenset()
-    elif isinstance(f, PAnd):
-        s = _p_sat(l, f.left, memo) & _p_sat(l, f.right, memo)
-    elif isinstance(f, POr):
-        s = _p_sat(l, f.left, memo) | _p_sat(l, f.right, memo)
-    elif isinstance(f, PDiamond):
-        if not l.has_reflexive_silent_steps:
-            raise NonReflexiveLtsError("apply reflexive_closure first")
-        s_left = _p_sat(l, f.left, memo)
-        right = frozenset(range(l.n_states))
-        for g in f.pos:
-            right &= _p_sat(l, g, memo)
-        for g in f.neg:
-            right -= _p_sat(l, g, memo)
-        s = frozenset(
-            p for p in range(l.n_states)
-            if any(any(dst in right for dst in l.succ(p1, f.label))
-                   for p1 in constrained_tau_reach(l, p, s_left)))
-    else:
-        raise TypeError(f)
-    memo[key] = s
-    return s
+    """Satisfaction set of ``f``; ``memo`` maps canonical keys to sets and
+    may be shared between calls on the same LTS."""
+    def build(g: PFormula, sub: list) -> frozenset:
+        if isinstance(g, PTop):
+            return frozenset(range(l.n_states))
+        if isinstance(g, PBot):
+            return frozenset()
+        if isinstance(g, PAnd):
+            return sub[0] & sub[1]
+        if isinstance(g, POr):
+            return sub[0] | sub[1]
+        if isinstance(g, PDiamond):
+            if not l.has_reflexive_silent_steps:
+                raise NonReflexiveLtsError("apply reflexive_closure first")
+            s_left = sub[0]
+            right = frozenset(range(l.n_states))
+            for s_pos in sub[1:1 + len(g.pos)]:
+                right &= s_pos
+            for s_neg in sub[1 + len(g.pos):]:
+                right -= s_neg
+            return frozenset(
+                p for p in range(l.n_states)
+                if any(any(dst in right for dst in l.succ(p1, g.label))
+                       for p1 in constrained_tau_reach(l, p, s_left)))
+        raise TypeError(g)
+
+    return _fold(f, _p_children, build, memo, key=canonical_key)
 
 
 @dataclass(frozen=True)
@@ -672,34 +755,40 @@ def format_pformula(f: PFormula, silent_label: str = "tau") -> str:
     return format_formula(p_embed(f), silent_label)
 
 
-def formula_to_json(f: Formula):
+def _formula_json_node(f: Formula, sub: list) -> dict:
     if isinstance(f, Top):
         return {"type": "top"}
     if isinstance(f, Neg):
-        return {"type": "neg", "child": formula_to_json(f.child)}
+        return {"type": "neg", "child": sub[0]}
     if isinstance(f, And):
-        return {"type": "and", "left": formula_to_json(f.left),
-                "right": formula_to_json(f.right)}
+        return {"type": "and", "left": sub[0], "right": sub[1]}
     if isinstance(f, Diamond):
-        return {"type": "diamond", "left": formula_to_json(f.left),
-                "label": str(f.label), "right": formula_to_json(f.right)}
+        return {"type": "diamond", "left": sub[0], "label": str(f.label),
+                "right": sub[1]}
     raise TypeError(f)
 
 
-def pformula_to_json(f: PFormula):
+def formula_to_json(f: Formula):
+    return _fold(f, _children, _formula_json_node)
+
+
+def _pformula_json_node(f: PFormula, sub: list) -> dict:
     if isinstance(f, PTop):
         return {"type": "top"}
     if isinstance(f, PBot):
         return {"type": "bot"}
     if isinstance(f, PAnd):
-        return {"type": "and", "left": pformula_to_json(f.left),
-                "right": pformula_to_json(f.right)}
+        return {"type": "and", "left": sub[0], "right": sub[1]}
     if isinstance(f, POr):
-        return {"type": "or", "left": pformula_to_json(f.left),
-                "right": pformula_to_json(f.right)}
+        return {"type": "or", "left": sub[0], "right": sub[1]}
     if isinstance(f, PDiamond):
-        return {"type": "pdiamond", "left": pformula_to_json(f.left),
-                "label": str(f.label),
-                "pos": [pformula_to_json(g) for g in f.pos],
-                "neg": [pformula_to_json(g) for g in f.neg]}
+        n_pos = len(f.pos)
+        return {"type": "pdiamond", "left": sub[0], "label": str(f.label),
+                "pos": sub[1:1 + n_pos], "neg": sub[1 + n_pos:]}
     raise TypeError(f)
+
+
+def pformula_to_json(f: PFormula):
+    """JSON form of ``f``; a shared subformula gives one shared dict, which
+    ``json`` writes out at each place it occurs."""
+    return _fold(f, _p_children, _pformula_json_node)

@@ -200,7 +200,11 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
             raise AutParseError(f"out-of-range state index in {line!r}", lineno)
         label = labels.get(token)
         if label is None:
-            label = labels[token] = TAU if token == silent_label else ActionLabel(token)
+            try:
+                label = TAU if token == silent_label else ActionLabel(token)
+            except ValueError as exc:
+                raise AutParseError(str(exc), lineno) from exc
+            labels[token] = label
         transitions.add((src, label, dst))
     return Lts(n_states, frozenset(transitions), initial)
 

@@ -256,3 +256,32 @@ def test_cli_usage_errors(capsys, argv):
         argv = [a.replace("tests/data", str(DATA)) for a in argv]
     assert main(argv) == 2
     capsys.readouterr()
+
+
+def test_cli_parse_label_with_whitespace(capsys, tmp_path):
+    aut = tmp_path / "bad.aut"
+    aut.write_text('des (0,1,2)\n(0,"a b",1)\n')
+    assert main(["parse", str(aut)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,q", [("0", "1"), ("1", "0")])
+def test_cli_convert_deeply_nested(capsys, tmp_path, p, q):
+    # 1200 nested <a> on an a-chain of 1200 steps separates states 0 and 1;
+    # synthesis may refuse a formula this deep, but must not crash.
+    d = 1200
+    aut = tmp_path / "chain.aut"
+    aut.write_text(render_aut(Lts(d + 1, frozenset(
+        (i, ActionLabel("a"), i + 1) for i in range(d)))))
+    code = main(["convert", "--lts", str(aut), "--formula", "<a> " * d + "T", p, q])
+    assert code in (0, 2)
+    capsys.readouterr()
+
+
+def test_cli_validate_campaign_options(capsys):
+    code, out = run_cli(capsys, "validate", "--campaign", "--count", "3",
+                        "--max-states", "3")
+    assert code == 0 and out["ok"] is True
+    assert main(["validate", "--campaign", "--min-states", "4",
+                 "--max-states", "3"]) == 2
+    capsys.readouterr()

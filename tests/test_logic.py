@@ -7,8 +7,10 @@ from bbapart.logic import (
     Diamond,
     FormulaParseError,
     Neg,
+    PAnd,
     PBOT,
     PDiamond,
+    POr,
     PTOP,
     TOP,
     canonical_key,
@@ -19,6 +21,7 @@ from bbapart.logic import (
     f_or,
     format_formula,
     format_pformula,
+    formula_to_json,
     is_good,
     is_negative,
     is_positive,
@@ -26,7 +29,9 @@ from bbapart.logic import (
     p_embed,
     p_satisfies,
     parse_formula,
+    pformula_to_json,
     satisfies,
+    sort_key,
 )
 from bbapart.generate import GenParams, random_lts
 from bbapart.lts import (
@@ -276,3 +281,78 @@ def test_checker_matches_reference_semantics(seed, n, f):
     expected = _reference_sat(l, f)
     assert ev.set(f) == expected
     assert all(ev.holds(p, f) == (p in expected) for p in range(n))
+
+
+def _old_sort_key(f):
+    """The recursive definition the cached keys must reproduce."""
+    if f == PTOP:
+        return (0,)
+    if f == PBOT:
+        return (1,)
+    if isinstance(f, PDiamond):
+        return (2, f.label.sort_key, _old_sort_key(f.left),
+                tuple(map(_old_sort_key, f.pos)), tuple(map(_old_sort_key, f.neg)))
+    return (3 if isinstance(f, PAnd) else 4,
+            _old_sort_key(f.left), _old_sort_key(f.right))
+
+
+def _old_canonical_key(f):
+    if isinstance(f, PDiamond):
+        return (2, f.label.sort_key, _old_canonical_key(f.left),
+                tuple(sorted(map(_old_canonical_key, f.pos))),
+                tuple(sorted(map(_old_canonical_key, f.neg))))
+    if isinstance(f, (PAnd, POr)):
+        items, stack = [], [f]
+        while stack:
+            g = stack.pop()
+            if type(g) is type(f):
+                stack += [g.left, g.right]
+            else:
+                items.append(_old_canonical_key(g))
+        return (3 if isinstance(f, PAnd) else 4, tuple(sorted(items)))
+    return _old_sort_key(f)
+
+
+def _rebuild(f):
+    if isinstance(f, PDiamond):
+        return PDiamond(_rebuild(f.left), f.label, tuple(map(_rebuild, f.pos)),
+                        tuple(map(_rebuild, f.neg)))
+    if isinstance(f, (PAnd, POr)):
+        return type(f)(_rebuild(f.left), _rebuild(f.right))
+    return type(f)()
+
+
+pformulas = st.recursive(
+    st.sampled_from([PTOP, PBOT]),
+    lambda sub: st.one_of(
+        st.builds(PAnd, sub, sub),
+        st.builds(POr, sub, sub),
+        st.builds(PDiamond, sub, st.sampled_from([TAU, A, B]),
+                  st.lists(sub, max_size=2).map(tuple),
+                  st.lists(sub, max_size=2).map(tuple))),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pformulas, pformulas)
+def test_cached_keys_match_definition(f, g):
+    fresh = _rebuild(f)
+    assert sort_key(f) == _old_sort_key(f)
+    assert canonical_key(f) == _old_canonical_key(f)
+    # Keys are cached on the nodes, outside equality, hashing and repr.
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+    assert (sort_key(f) < sort_key(g)) == (_old_sort_key(f) < _old_sort_key(g))
+    assert ((canonical_key(f) == canonical_key(g))
+            == (_old_canonical_key(f) == _old_canonical_key(g)))
+
+
+def test_deep_pformula_walks():
+    # Twice Python's default recursion limit.
+    f = PTOP
+    for i in range(2000):
+        f = PDiamond(PAnd(PTOP, PTOP) if i % 2 else PTOP, A, (f,), ())
+    assert sort_key(f)[0] == 2 and canonical_key(f)[0] == 2
+    assert pformula_to_json(f)["type"] == "pdiamond"
+    assert formula_to_json(p_embed(f))["type"] == "diamond"
+    closed = reflexive_closure(Lts(1, frozenset({(0, A, 0)})))
+    assert p_satisfies(closed, 0, f)
