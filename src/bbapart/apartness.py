@@ -1,15 +1,18 @@
 """Least-fixpoint engines for the four apartness relations.
 
-All engines use round-based bottom-up saturation: each round evaluates the
-rule body for every ordered pair against the previous round's relation, so
-round stamps are deterministic and certificate extraction is well-founded.
+All engines share one round-based bottom-up saturation kernel: each round
+evaluates the rule body for every ordered pair against the previous
+round's relation, so round stamps are deterministic and certificate
+extraction is well-founded.  The relation is kept as one bitmask of
+states per state, and a rule evaluates a whole row of pairs at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lts import TAU, ActionLabel, Lts, reflexive_closure, tau_closure
+from .logic import _fold
+from .lts import TAU, Lts, reflexive_closure, tau_closure
 
 
 class InternalInvariantError(AssertionError):
@@ -39,31 +42,159 @@ class DirectedPairRelation:
         return self.holds | frozenset((q, p) for p, q in self.holds)
 
 
-def _saturate(n: int, body, symmetric: bool) -> DirectedPairRelation:
-    holds: set = set()
+def _union(x: int, masks) -> int:
+    """The OR of ``masks[i]`` over the set bits ``i`` of ``x``."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= masks[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
+def _saturate(n: int, rule, symmetric: bool) -> DirectedPairRelation:
+    """The least fixpoint of ``rule``, one round at a time, on bitmasks.
+
+    ``rows[p]`` holds the q with (p, q) held and ``cols[q]`` the p with
+    (p, q) held, as of the previous round.  ``rule(rows, cols)`` gives, per
+    state p, the mask of the q at which the rule body fires for (p, q);
+    the pairs that are not yet held (with their transposes, for a
+    symmetric relation) are added and stamped with the round number.
+    One round costs what the rule costs, so a rule that walks the
+    out-steps of every state and ORs n-bit masks costs
+    O(sum_p out(p) * n) word operations.
+    """
+    full = (1 << n) - 1
+    rows = [0] * n
+    cols = [0] * n
     rounds: dict = {}
     rnd = 0
     while True:
         rnd += 1
         if rnd > n * n + 1:
             raise InternalInvariantError("fixpoint failed to stabilize")
-        prev = frozenset(holds)
-        fresh = []
-        for p in range(n):
-            for q in range(n):
-                if (p, q) in holds:
-                    continue
-                if body(p, q, prev) or (symmetric and body(q, p, prev)):
-                    if p == q:
-                        raise InternalInvariantError(
-                            f"rule fired on the diagonal pair ({p}, {p})")
-                    fresh.append((p, q))
-        if not fresh:
+        fresh = [f & full & ~r for f, r in zip(rule(rows, cols), rows)]
+        if not any(fresh):
             break
-        for pair in fresh:
-            holds.add(pair)
-            rounds[pair] = rnd
-    return DirectedPairRelation(n, frozenset(holds), rounds)
+        for p, f in enumerate(fresh):
+            if f >> p & 1:
+                raise InternalInvariantError(
+                    f"rule fired on the diagonal pair ({p}, {p})")
+            rows[p] |= f
+            bit = 1 << p
+            while f:
+                low = f & -f
+                q = low.bit_length() - 1
+                f ^= low
+                cols[q] |= bit
+                rounds[(p, q)] = rnd
+                if symmetric:
+                    rows[q] |= bit
+                    cols[p] |= low
+                    rounds[(q, p)] = rnd
+    return DirectedPairRelation(n, frozenset(rounds), rounds)
+
+
+def _out_steps(l: Lts, keep=lambda label: True) -> list:
+    """Per state p, its out-steps p -alpha-> p1 with ``keep(alpha)``, as
+    ``(key, p1, targets, preds)``: ``key`` numbers the pair (alpha, p1),
+    and ``targets, preds`` are alpha's :meth:`Lts.pred_masks`."""
+    n = l.n_states
+    index = {label: i for i, label in enumerate(l.actions)}
+    return [[(index[label] * n + p1, p1, *l.pred_masks(label))
+             for label, p1 in l.out(p) if keep(label)]
+            for p in range(n)]
+
+
+def _reaching(back: tuple):
+    """``reach(x)``: the states with a silent path into a state of the
+    bitmask ``x`` (``back`` is :attr:`TauClosure.back`), memoised per ``x``."""
+    memo: dict = {}
+
+    def reach(x: int) -> int:
+        r = memo.get(x)
+        if r is None:
+            r = memo[x] = _union(x, back)
+        return r
+    return reach
+
+
+def _escaping(rows: list, cols: list, directed: bool):
+    """``escape(key, p1, targets, preds)``, for an out-step of
+    :func:`_out_steps`: the states with a step of its label to a state
+    outside p1's row (and, if ``directed``, outside p1's column),
+    memoised per step for one round."""
+    memo: dict = {}
+
+    def escape(key: int, p1: int, targets: int, preds: tuple) -> int:
+        b = memo.get(key)
+        if b is None:
+            held = rows[p1] | cols[p1] if directed else rows[p1]
+            b = memo[key] = _union(targets & ~held, preds)
+        return b
+    return escape
+
+
+def _step_rule(l: Lts, directed: bool, branching: bool):
+    """The one-rule systems.  A step p -alpha-> p1 fires (p, q) unless it is
+    blocked: some q1 reachable from q (by silent steps for the branching
+    kinds, q1 = q for the strong ones) has an alpha-step to a q2 with
+    (p1, q2) not held, nor (q2, p1) for the directed kinds, and for the
+    branching kinds (p, q1) is not held either.  The branching kinds run on
+    the silent-step reflexive closure."""
+    if branching:
+        l = reflexive_closure(l)
+        back = tau_closure(l).back
+    n = l.n_states
+    out = _out_steps(l)
+
+    def rule(rows, cols):
+        escape = _escaping(rows, cols, directed)
+        if branching:
+            reach = _reaching(back)
+        fire = []
+        for p in range(n):
+            f = 0
+            for step in out[p]:
+                blocked = escape(*step)
+                if branching:
+                    blocked = reach(blocked & ~rows[p])
+                f |= ~blocked
+            fire.append(f)
+        return fire
+    return rule
+
+
+def _four_rule(l: Lts):
+    """The four-rule system on the raw LTS (see
+    :func:`directed_branching_apartness_nonreflexive`).  A step p -alpha->
+    p1 is blocked at q when q ->>tau q1 -alpha-> q2 with (p, q1) not held
+    and p1, q2 not held either way."""
+    n = l.n_states
+    full = (1 << n) - 1
+    back = tau_closure(l).back
+    silent = _out_steps(l, lambda label: label.silent)
+    visible = _out_steps(l, lambda label: not label.silent)
+
+    def rule(rows, cols):
+        escape = _escaping(rows, cols, directed=True)
+        reach = _reaching(back)
+        fire = []
+        for p in range(n):
+            left = rows[p]
+            # Apart from every state in q's silent closure.
+            f = ~reach(full & ~(left | cols[p]))
+            for step in silent[p]:
+                # Weakening along a silent step on the left; the silent-step
+                # rule with the extra right-to-left hypothesis (q, p1).
+                p1 = step[1]
+                f |= rows[p1] | (cols[p1] & ~reach(escape(*step) & ~left))
+            for step in visible[p]:
+                # Visible-step rule.
+                f |= ~reach(escape(*step) & ~left)
+            fire.append(f)
+        return fire
+    return rule
 
 
 def strong_apartness(l: Lts) -> DirectedPairRelation:
@@ -71,75 +202,32 @@ def strong_apartness(l: Lts) -> DirectedPairRelation:
 
     Every label, the silent one included, is treated as an ordinary action.
     """
-    def body(p, q, rel):
-        return any(all((p1, q1) in rel for q1 in l.succ(q, label))
-                   for label, p1 in l.out(p))
-    return _saturate(l.n_states, body, symmetric=True)
+    rule = _step_rule(l, directed=False, branching=False)
+    return _saturate(l.n_states, rule, symmetric=True)
 
 
 def directed_strong_apartness(l: Lts) -> DirectedPairRelation:
-    def body(p, q, rel):
-        return any(all((p1, q1) in rel or (q1, p1) in rel
-                       for q1 in l.succ(q, label))
-                   for label, p1 in l.out(p))
-    return _saturate(l.n_states, body, symmetric=False)
+    rule = _step_rule(l, directed=True, branching=False)
+    return _saturate(l.n_states, rule, symmetric=False)
 
 
 def branching_apartness(l: Lts) -> DirectedPairRelation:
     """Least symmetric relation closed under the one-rule branching system,
     computed over the silent-step reflexive closure (the relation is
     invariant under that closure)."""
-    closed = reflexive_closure(l)
-    tc = tau_closure(closed)
-
-    def body(p, q, rel):
-        return any(all((p, q1) in rel or (p1, q2) in rel
-                       for q1, q2 in tc.triples(q, label))
-                   for label, p1 in closed.out(p))
-    return _saturate(l.n_states, body, symmetric=True)
+    rule = _step_rule(l, directed=False, branching=True)
+    return _saturate(l.n_states, rule, symmetric=True)
 
 
 def directed_branching_apartness(l: Lts) -> DirectedPairRelation:
-    closed = reflexive_closure(l)
-    tc = tau_closure(closed)
-
-    def body(p, q, rel):
-        return any(all((p, q1) in rel or (p1, q2) in rel or (q2, p1) in rel
-                       for q1, q2 in tc.triples(q, label))
-                   for label, p1 in closed.out(p))
-    return _saturate(l.n_states, body, symmetric=False)
+    rule = _step_rule(l, directed=True, branching=True)
+    return _saturate(l.n_states, rule, symmetric=False)
 
 
 def directed_branching_apartness_nonreflexive(l: Lts) -> DirectedPairRelation:
     """The four-rule system on the raw LTS; agrees with
     :func:`directed_branching_apartness` on every LTS."""
-    tc = tau_closure(l)
-
-    def body(p, q, rel):
-        def sym(x, y):
-            return (x, y) in rel or (y, x) in rel
-        tau_succ = l.succ(p, TAU)
-        # Weakening along a silent step on the left.
-        if any((p1, q) in rel for p1 in tau_succ):
-            return True
-        # Apart from every state in q's silent closure.
-        if all(sym(p, q1) for q1 in tc.reach[q]):
-            return True
-        # Silent-step rule with the extra right-to-left hypothesis.
-        for p1 in tau_succ:
-            if (q, p1) in rel and all(
-                    (p, q1) in rel or sym(p1, q2)
-                    for q1, q2 in tc.triples(q, TAU)):
-                return True
-        # Visible-step rule.
-        for label, p1 in l.out(p):
-            if label.silent:
-                continue
-            if all((p, q1) in rel or sym(p1, q2)
-                   for q1, q2 in tc.triples(q, label)):
-                return True
-        return False
-    return _saturate(l.n_states, body, symmetric=False)
+    return _saturate(l.n_states, _four_rule(l), symmetric=False)
 
 
 # ---------------------------------------------------------------------------
@@ -230,39 +318,39 @@ def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int) -> Der
         raise PairNotHeldError(f"pair ({p}, {q}) is not in the relation")
     closed = reflexive_closure(l)
     tc = tau_closure(closed)
-    memo: dict = {}
+    rounds = rel.rounds
+    chosen: dict = {}  # pair -> (witness, [(q1, q2, tag, sub pair)])
 
-    def build(p: int, q: int) -> Derivation:
-        if (p, q) in memo:
-            return memo[(p, q)]
-        bound = rel.rounds[(p, q)]
-
-        def tag_for(p1, q1, q2):
-            for tag, pair in ((TAG_LEFT, (p, q1)),
-                              (TAG_RIGHT_BWD, (q2, p1)),
-                              (TAG_RIGHT_FWD, (p1, q2))):
-                if pair in rel.holds and rel.rounds[pair] < bound:
-                    return tag, pair
-            return None
-
+    def premises(pair) -> list:
+        """Choose the witness step and child tags of ``pair``; its
+        sub-pairs in child order."""
+        p, q = pair
+        bound = rounds[pair]
         for label, p1 in closed.out(p):
             assignment = []
             for q1, q2 in tc.triples(q, label):
-                choice = tag_for(p1, q1, q2)
-                if choice is None:
+                for tag, sub in ((TAG_LEFT, (p, q1)),
+                                 (TAG_RIGHT_BWD, (q2, p1)),
+                                 (TAG_RIGHT_FWD, (p1, q2))):
+                    if rounds.get(sub, bound) < bound:
+                        assignment.append((q1, q2, tag, sub))
+                        break
+                else:
                     break
-                assignment.append((q1, q2, choice))
             else:
-                children = tuple(
-                    ChildStep(q1, q2, tag, build(*pair))
-                    for q1, q2, (tag, pair) in assignment)
-                node = Derivation(p, q, (p, label, p1), children)
-                memo[(p, q)] = node
-                return node
+                chosen[pair] = ((p, label, p1), assignment)
+                return [sub for *_, sub in assignment]
         raise InternalInvariantError(
             f"no witness step re-derives pair ({p}, {q}) at round {bound}")
 
-    return build(p, q)
+    def conclude(pair, subs: list) -> Derivation:
+        witness, assignment = chosen.pop(pair)
+        return Derivation(*pair, witness, tuple(
+            ChildStep(q1, q2, tag, d)
+            for (q1, q2, tag, _), d in zip(assignment, subs)))
+
+    # One node per pair: nodes are keyed by the pair's value.
+    return _fold((p, q), premises, conclude, key=tuple)
 
 
 def check_tau_extension(l: Lts, rel: DirectedPairRelation) -> list:

@@ -78,8 +78,49 @@ def _formula(args):
         raise CliError(f"bad formula: {exc}") from exc
 
 
+# Pieces of JSON text joined into one write.
+_WRITE_BATCH = 4096
+
+
+def _dump(payload, write) -> None:
+    """Write ``payload`` as ``json.dump(payload, fp, indent=2)`` would, by
+    an explicit stack rather than one recursive call per nesting level, so
+    that any depth prints.  Dict keys must be strings."""
+    chunks: list = []
+    stack = [(payload, 0)]  # (value, depth), or (text, None) for literal text
+    while stack:
+        value, depth = stack.pop()
+        if depth is None:
+            chunks.append(value)
+        elif isinstance(value, (dict, list, tuple)) and value:
+            pad = "\n" + "  " * (depth + 1)
+            if isinstance(value, dict):
+                chunks.append("{")
+                stack.append(("\n" + "  " * depth + "}", None))
+                items = list(value.items())
+                for i in range(len(items) - 1, -1, -1):
+                    key, item = items[i]
+                    if not isinstance(key, str):
+                        raise TypeError(f"key {key!r} is not a string")
+                    stack.append((item, depth + 1))
+                    stack.append(((pad if i == 0 else "," + pad)
+                                  + json.dumps(key) + ": ", None))
+            else:
+                chunks.append("[")
+                stack.append(("\n" + "  " * depth + "]", None))
+                for i in range(len(value) - 1, -1, -1):
+                    stack.append((value[i], depth + 1))
+                    stack.append((pad if i == 0 else "," + pad, None))
+        else:
+            chunks.append(json.dumps(value))
+        if len(chunks) >= _WRITE_BATCH:
+            write("".join(chunks))
+            chunks.clear()
+    write("".join(chunks))
+
+
 def _emit(payload) -> int:
-    json.dump(payload, sys.stdout, indent=2)
+    _dump(payload, sys.stdout.write)
     sys.stdout.write("\n")
     return EXIT_OK
 

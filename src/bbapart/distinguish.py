@@ -31,6 +31,7 @@ from .logic import (
     POr,
     _children,
     _fold,
+    _hashed_key,
     canonical_key,
     diamond_witness,
     p_and_all,
@@ -107,7 +108,7 @@ def _sorted_dedup(items) -> tuple:
     """Canonical subterm order with structural duplicates removed."""
     out, seen = [], set()
     for g in sorted(items, key=sort_key):
-        key = canonical_key(g)
+        key = _hashed_key(g)
         if key not in seen:
             seen.add(key)
             out.append(g)

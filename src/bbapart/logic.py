@@ -325,6 +325,47 @@ def canonical_key(f: PFormula) -> tuple:
     return _cached(f, "_canonical_key", _canon_children, _make_canonical_key)
 
 
+class _HashedKey:
+    """A node's canonical key with a hash computed once, from its
+    children's hashes.  Python re-hashes a nested tuple in full on every
+    lookup, so keying a memo by :func:`canonical_key` itself costs time
+    linear in the depth of the formula per lookup."""
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: tuple, hash_: int):
+        self.key = key
+        self._hash = hash_
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, _HashedKey)
+                                 and self._hash == other._hash
+                                 and self.key == other.key)
+
+
+def _make_hashed_key(f: PFormula) -> _HashedKey:
+    # Hash exactly what canonical_key compares: equal keys, equal hashes.
+    if isinstance(f, PDiamond):
+        shape = (2, f.label.sort_key, f.left._hashed_key._hash,
+                 tuple(sorted(g._hashed_key._hash for g in f.pos)),
+                 tuple(sorted(g._hashed_key._hash for g in f.neg)))
+    elif isinstance(f, (PAnd, POr)):
+        shape = (3 if isinstance(f, PAnd) else 4,
+                 tuple(sorted(g._hashed_key._hash for g in _flat(f))))
+    else:
+        shape = canonical_key(f)
+    return _HashedKey(canonical_key(f), hash(shape))
+
+
+def _hashed_key(f: PFormula) -> _HashedKey:
+    """:func:`canonical_key` as a dict key that hashes in constant time.
+    Computed once per node and kept on it."""
+    return _cached(f, "_hashed_key", _canon_children, _make_hashed_key)
+
+
 def p_and_all(items) -> PFormula:
     """Right-fold conjunction; the empty conjunction is T."""
     items = list(items)
@@ -491,8 +532,8 @@ def p_satisfies(l: Lts, p: int, f: PFormula) -> bool:
 
 
 def _p_sat(l: Lts, f: PFormula, memo: dict) -> frozenset:
-    """Satisfaction set of ``f``; ``memo`` maps canonical keys to sets and
-    may be shared between calls on the same LTS."""
+    """Satisfaction set of ``f``; ``memo`` maps :func:`_hashed_key` keys
+    to sets and may be shared between calls on the same LTS."""
     def build(g: PFormula, sub: list) -> frozenset:
         if isinstance(g, PTop):
             return frozenset(range(l.n_states))
@@ -517,7 +558,7 @@ def _p_sat(l: Lts, f: PFormula, memo: dict) -> frozenset:
                        for p1 in constrained_tau_reach(l, p, s_left)))
         raise TypeError(g)
 
-    return _fold(f, _p_children, build, memo, key=canonical_key)
+    return _fold(f, _p_children, build, memo, key=_hashed_key)
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,46 @@ class Lts:
         return self._pred_index.get(label, _NO_STEPS)
 
     @cached_property
+    def _pred_masks(self) -> dict:
+        masks = {}
+        for label, by_target in self._pred_index.items():
+            preds = [0] * self.n_states
+            for q, srcs in by_target.items():
+                preds[q] = sum(1 << p for p in srcs)
+            masks[label] = (sum(1 << q for q in by_target), tuple(preds))
+        return masks
+
+    def pred_masks(self, label: ActionLabel) -> tuple:
+        """``(targets, preds)``: the bitmask of states entered by a
+        ``label``-step, and per state the bitmask of its
+        ``label``-predecessors (bit ``p`` stands for state ``p``)."""
+        return self._pred_masks.get(label, (0, ()))
+
+    @cached_property
     def has_reflexive_silent_steps(self) -> bool:
         return all((p, TAU, p) in self.transitions for p in range(self.n_states))
+
+    @cached_property
+    def _reflexive_closure(self) -> "Lts":
+        if self.has_reflexive_silent_steps:
+            return self
+        loops = frozenset((p, TAU, p) for p in range(self.n_states))
+        return Lts(self.n_states, self.transitions | loops, self.initial, self.names)
+
+    @cached_property
+    def _tau_closure(self) -> "TauClosure":
+        reach = []
+        for p in range(self.n_states):
+            seen = {p}
+            frontier = [p]
+            while frontier:
+                cur = frontier.pop()
+                for nxt in self.succ(cur, TAU):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            reach.append(frozenset(seen))
+        return TauClosure(self, tuple(reach))
 
     def state_name(self, p: int) -> str:
         if self.names is not None:
@@ -225,9 +263,10 @@ def load_names(path) -> tuple:
 
 
 def reflexive_closure(l: Lts) -> Lts:
-    """The input plus a silent self-loop on every state.  Idempotent."""
-    loops = frozenset((p, TAU, p) for p in range(l.n_states))
-    return Lts(l.n_states, l.transitions | loops, l.initial, l.names)
+    """The input plus a silent self-loop on every state.  Idempotent, and
+    computed once per LTS: an input that already has every self-loop is
+    its own closure."""
+    return l._reflexive_closure
 
 
 @dataclass(frozen=True)
@@ -251,20 +290,20 @@ class TauClosure:
                     result.setdefault((q, label), set()).add((q1, q2))
         return {k: tuple(sorted(v)) for k, v in result.items()}
 
+    @cached_property
+    def back(self) -> tuple:
+        """Per state ``q'``, the bitmask of the states ``q`` with
+        ``q ->>tau q'``."""
+        back = [0] * self.lts.n_states
+        for q, reach in enumerate(self.reach):
+            for q1 in reach:
+                back[q1] |= 1 << q
+        return tuple(back)
+
 
 def tau_closure(l: Lts) -> TauClosure:
-    reach = []
-    for p in range(l.n_states):
-        seen = {p}
-        frontier = [p]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in l.succ(cur, TAU):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reach.append(frozenset(seen))
-    return TauClosure(l, tuple(reach))
+    """Silent reachability of ``l``, computed once per LTS."""
+    return l._tau_closure
 
 
 def constrained_tau_reach(l: Lts, p: int, allowed) -> frozenset:

@@ -6,7 +6,9 @@ a DAG whose unfolded tree can be exponentially larger.  ``to_json`` and
 same answers as a plain walk of the tree.
 """
 
+import inspect
 import json
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -190,3 +192,22 @@ def test_formula_from_derivation_tau_chain_k12():
     f = formula_from_derivation(l, extract_derivation(l, rel, k, 0))
     closed = reflexive_closure(l)
     assert p_satisfies(closed, k, f) and not p_satisfies(closed, 0, f)
+
+
+def test_cli_distinguish_deep_chain_within_a_small_stack(capsys, tmp_path):
+    # Two a-chains: the certificate for (n+1, 0) has a node per round.  With
+    # only 60 frames to spare, any walk that recursed per round would fail.
+    n = 120
+    l = Lts(2 * n + 3, frozenset({(i, A, i + 1) for i in range(n)}
+                                 | {(n + 1 + i, A, n + 2 + i) for i in range(n + 1)}))
+    aut = tmp_path / "chains.aut"
+    aut.write_text(render_aut(l))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        code = main(["distinguish", "--lts", str(aut), str(n + 1), "0"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    text = capsys.readouterr().out
+    assert text.count('"conclusion"') == n + 1  # one node per round

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbapart import bisim
 from bbapart.cli import main
 from bbapart.generate import GenParams, campaign_instances, random_lts
 from bbapart.lts import TAU, ActionLabel, Lts, render_aut
@@ -14,7 +15,7 @@ from bbapart.validate import (
     run_campaign,
 )
 
-from conftest import DATA, s
+from conftest import DATA, load_fixture, s
 
 
 def test_random_lts_deterministic():
@@ -131,6 +132,26 @@ def test_distinguish_pair_not_apart(fixsr):
     with pytest.raises(NotApartError) as exc:
         distinguish_pair(fixsr, s(fixsr, "s1"), s(fixsr, "r1"))
     assert exc.value.bisimilar
+
+
+def test_query_path_runs_no_bisimilarity_oracle(monkeypatch, capsys):
+    # Bisimilarity is read off apartness by duality; only validation runs
+    # the oracles, and every oracle goes through _refine.
+    def refuse(*args, **kwargs):
+        raise AssertionError("bisimilarity oracle on the query path")
+    monkeypatch.setattr(bisim, "_refine", refuse)
+    lts = ["--lts", str(DATA / "fixpq.aut"), "--names", str(DATA / "fixpq.names.json")]
+    for p, q in (("p1", "p2"), ("p2", "q1"), ("q1", "q1")):
+        for kind in ("strong", "dstrong", "branching", "dbranching"):
+            assert main(["check", *lts, "--kind", kind, p, q]) == 0
+        assert main(["check", *lts, "--kind", "dbranching", "--nonreflexive", p, q]) == 0
+        assert main(["distinguish", *lts, p, q]) == 0
+    assert main(["mc", *lts, "--state", "p1", "--formula", "<a> T"]) == 0
+    assert main(["convert", *lts, "--formula", "((<a> T | ~<b> T) <c> T)",
+                 "p2", "q1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="oracle"):
+        bisim.bisimilarity(load_fixture("fixpq"), "strong")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from bbapart.logic import (
     POr,
     PTOP,
     TOP,
+    _hashed_key,
     canonical_key,
     diamond,
     SatEvaluator,
@@ -344,6 +347,10 @@ def test_cached_keys_match_definition(f, g):
     assert (sort_key(f) < sort_key(g)) == (_old_sort_key(f) < _old_sort_key(g))
     assert ((canonical_key(f) == canonical_key(g))
             == (_old_canonical_key(f) == _old_canonical_key(g)))
+    # The memo key agrees with the canonical key, hash included.
+    assert _hashed_key(f) == _hashed_key(fresh)
+    assert hash(_hashed_key(f)) == hash(_hashed_key(fresh))
+    assert (_hashed_key(f) == _hashed_key(g)) == (canonical_key(f) == canonical_key(g))
 
 
 def test_deep_pformula_walks():
@@ -356,3 +363,15 @@ def test_deep_pformula_walks():
     assert formula_to_json(p_embed(f))["type"] == "diamond"
     closed = reflexive_closure(Lts(1, frozenset({(0, A, 0)})))
     assert p_satisfies(closed, 0, f)
+
+
+def test_p_satisfies_is_linear_in_depth():
+    # A memo keyed by the nested canonical-key tuple re-hashes it in full
+    # on every lookup: 5 to 6 s for this chain.
+    f = PTOP
+    for _ in range(5000):
+        f = PDiamond(PTOP, A, (f,), ())
+    closed = reflexive_closure(Lts(2, frozenset({(0, A, 0)})))
+    start = time.perf_counter()
+    assert p_satisfies(closed, 0, f) and not p_satisfies(closed, 1, f)
+    assert time.perf_counter() - start < 1.0

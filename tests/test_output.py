@@ -1,0 +1,99 @@
+"""JSON output of the command line: the same bytes as ``json.dump(...,
+indent=2)``, at any nesting depth."""
+
+import json
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+from bbapart import cli
+from bbapart.apartness import TAG_RIGHT_FWD, ChildStep, Derivation
+from bbapart.lts import ActionLabel
+
+from conftest import DATA
+
+A = ActionLabel("a")
+
+FIXTURE_COMMANDS = [
+    ["parse", str(DATA / "fixsr.aut")],
+    ["check", "--kind", "dbranching", "s", "r"],
+    ["check", "--kind", "branching", "r", "s"],
+    ["check", "--kind", "strong", "s", "s"],
+    ["check", "--kind", "dbranching", "--nonreflexive", "s", "r"],
+    ["distinguish", "s", "r"],
+    ["distinguish", "--simplify", "s", "r"],
+    ["distinguish", "s", "s"],
+    ["mc", "--state", "s", "--formula", "((<d> T) <c> T)"],
+    ["validate"],
+]
+
+
+def dump(payload) -> str:
+    chunks = []
+    cli._dump(payload, chunks.append)
+    return "".join(chunks)
+
+
+def test_cli_outputs_are_json_dump_bytes(capsys):
+    for argv in FIXTURE_COMMANDS:
+        if argv[0] != "parse":
+            argv = [argv[0], "--lts", str(DATA / "fixsr.aut"),
+                    "--names", str(DATA / "fixsr.names.json"), *argv[1:]]
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+scalars = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False) | st.text())
+payloads = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads)
+def test_dump_matches_json_dump(payload):
+    assert dump(payload) == json.dumps(payload, indent=2)
+
+
+def chain_derivation(depth: int) -> Derivation:
+    """A derivation ``depth`` rounds deep: each node one rightFwd child."""
+    d = Derivation(depth, depth + 1, (depth, A, depth + 1), ())
+    for i in range(depth - 1, -1, -1):
+        d = Derivation(i, i + 1, (i, A, i + 1),
+                       (ChildStep(i + 2, i + 2, TAG_RIGHT_FWD, d),))
+    return d
+
+
+def test_certificate_at_the_old_limit_matches_json_dump():
+    # Long enough to be written in several pieces.
+    payload = chain_derivation(300).to_json()
+    writes = []
+    cli._dump(payload, writes.append)
+    assert len(writes) > 1
+    assert "".join(writes) == json.dumps(payload, indent=2)
+
+
+class _Sink:
+    """Counts what is written and keeps only the last line."""
+
+    def __init__(self):
+        self.size, self.tail = 0, ""
+
+    def write(self, text):
+        self.size += len(text)
+        self.tail = (self.tail + text)[-200:]
+
+
+def test_2000_round_certificate_prints(monkeypatch):
+    # Three containers per round: 6,000 levels of nesting, where a
+    # recursive encoder stops at about 330 rounds.
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli._emit(chain_derivation(2000).to_json()) == cli.EXIT_OK
+    assert sink.tail.endswith("\n      }\n    }\n  ]\n}\n")
+    assert sink.size > 2000 * 6000
+
