@@ -1,4 +1,5 @@
-"""Least-fixpoint engines for the four apartness relations.
+"""Least-fixpoint engines for the four apartness relations, each run once
+per LTS.
 
 All engines share one round-based bottom-up saturation kernel: each round
 evaluates the rule body for every ordered pair against the previous
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .logic import _fold
-from .lts import TAU, Lts, reflexive_closure, tau_closure
+from .lts import Lts, per_lts, reflexive_closure, tau_closure
 
 
 class InternalInvariantError(AssertionError):
@@ -34,9 +35,6 @@ class DirectedPairRelation:
 
     def __contains__(self, pair) -> bool:
         return pair in self.holds
-
-    def symmetric(self, p: int, q: int) -> bool:
-        return (p, q) in self.holds or (q, p) in self.holds
 
     def symmetric_closure(self) -> frozenset:
         return self.holds | frozenset((q, p) for p, q in self.holds)
@@ -197,6 +195,7 @@ def _four_rule(l: Lts):
     return rule
 
 
+@per_lts
 def strong_apartness(l: Lts) -> DirectedPairRelation:
     """Least symmetric relation closed under the strong rule.
 
@@ -206,11 +205,13 @@ def strong_apartness(l: Lts) -> DirectedPairRelation:
     return _saturate(l.n_states, rule, symmetric=True)
 
 
+@per_lts
 def directed_strong_apartness(l: Lts) -> DirectedPairRelation:
     rule = _step_rule(l, directed=True, branching=False)
     return _saturate(l.n_states, rule, symmetric=False)
 
 
+@per_lts
 def branching_apartness(l: Lts) -> DirectedPairRelation:
     """Least symmetric relation closed under the one-rule branching system,
     computed over the silent-step reflexive closure (the relation is
@@ -219,11 +220,13 @@ def branching_apartness(l: Lts) -> DirectedPairRelation:
     return _saturate(l.n_states, rule, symmetric=True)
 
 
+@per_lts
 def directed_branching_apartness(l: Lts) -> DirectedPairRelation:
     rule = _step_rule(l, directed=True, branching=True)
     return _saturate(l.n_states, rule, symmetric=False)
 
 
+@per_lts
 def directed_branching_apartness_nonreflexive(l: Lts) -> DirectedPairRelation:
     """The four-rule system on the raw LTS; agrees with
     :func:`directed_branching_apartness` on every LTS."""

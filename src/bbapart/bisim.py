@@ -3,14 +3,14 @@
 Deliberately naive relation refinement (start from the full relation,
 delete violating pairs until stable): the point is an algorithm that is
 structurally independent of the apartness engines, so that the duality
-cross-checks are meaningful.
+cross-checks are meaningful.  Each oracle runs once per LTS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lts import TAU, Lts, reflexive_closure, tau_closure
+from .lts import Lts, per_lts, reflexive_closure, tau_closure
 
 
 @dataclass(frozen=True)
@@ -90,22 +90,26 @@ def _dbranching_clause(l: Lts):
     return clause
 
 
+@per_lts
 def strong_bisimilarity(l: Lts) -> BisimRelation:
     """Greatest symmetric relation with exact transfer of every step
     (silent steps treated as ordinary actions)."""
     return _refine(l.n_states, _strong_clause(l), symmetric=True)
 
 
+@per_lts
 def directed_strong_bisimilarity(l: Lts) -> BisimRelation:
     return _refine(l.n_states, _dstrong_clause(l), symmetric=False)
 
 
+@per_lts
 def branching_bisimilarity(l: Lts) -> BisimRelation:
     """Greatest symmetric branching bisimulation, via the classical
     two-clause transfer condition."""
     return _refine(l.n_states, _branching_clause(l), symmetric=True)
 
 
+@per_lts
 def directed_branching_bisimilarity(l: Lts) -> BisimRelation:
     closed = reflexive_closure(l)
     return _refine(l.n_states, _dbranching_clause(closed), symmetric=False)

@@ -32,12 +32,12 @@ from .logic import (
     _children,
     _fold,
     _hashed_key,
+    _p_children,
     canonical_key,
     diamond_witness,
     p_and_all,
     p_embed,
     p_or_all,
-    _p_sat,
     sort_key,
 )
 from .lts import TAU, Lts, reflexive_closure, tau_closure
@@ -95,7 +95,7 @@ class RightSide:
 def verify_distinguishes(l: Lts, phi: Formula, p: int, q: int) -> VerifyResult:
     """Evaluate ``phi`` on both states (over the silent-step reflexive
     closure) and report which side satisfies it."""
-    ev = SatEvaluator(reflexive_closure(l))
+    ev = SatEvaluator.of(l)
     p_in, q_in = ev.holds(p, phi), ev.holds(q, phi)
     if p_in and not q_in:
         return VerifyResult(True, DIRECTION_LEFT)
@@ -202,14 +202,12 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
         raise FormulaTooDeepError(
             f"formula is nested {guard} deep; synthesis accepts at most "
             f"{MAX_SYNTHESIS_DEPTH}")
-    closed = reflexive_closure(l)
-    ev = SatEvaluator(closed)
+    ev = SatEvaluator.of(l)
     memo: dict = {}
     realized: dict = {}
-    psat: dict = {}
 
-    def th(g: PFormula) -> frozenset:
-        return _p_sat(closed, g, psat)
+    def holds(r: int, g: PFormula) -> bool:
+        return ev.holds(r, p_embed(g))
 
     def synth(f: Formula, p: int, q: int, depth: int) -> PFormula:
         if depth > guard:
@@ -243,25 +241,25 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
             sat = ev.set(sub)
             out = []
             for r in sorted(sat):
-                for s in range(closed.n_states):
+                for s in range(l.n_states):
                     if s not in sat:
                         out.append(synth(sub, r, s, depth + 1))
             realized[sub] = _sorted_dedup(out)
         return realized[sub]
 
     def synth_diamond(f: Diamond, p: int, q: int, depth: int) -> PFormula:
-        w = diamond_witness(closed, p, f.left, f.label, f.right, ev)
+        w = diamond_witness(l, p, f.left, f.label, f.right)
         if w is None:
             raise InternalInvariantError("no witness for a satisfied diamond")
         p_delta = realize(f.left, depth)
         p_psi = realize(f.right, depth)
         stages = tuple(
             ChainStage(i + 1,
-                       tuple(g for g in p_delta if r in th(g)),
-                       tuple(g for g in p_delta if r not in th(g)))
+                       tuple(g for g in p_delta if holds(r, g)),
+                       tuple(g for g in p_delta if not holds(r, g)))
             for i, r in enumerate(w.path))
-        right = RightSide(tuple(g for g in p_psi if w.post in th(g)),
-                          tuple(g for g in p_psi if w.post not in th(g)))
+        right = RightSide(tuple(g for g in p_psi if holds(w.post, g)),
+                          tuple(g for g in p_psi if not holds(w.post, g)))
         # Phi_n carries the visible step; each earlier stage wraps it in a
         # silent step constrained by the next stage's disjuncts.
         phi_i = PDiamond(p_and_all(stages[-1].delta_plus), f.label,
@@ -270,10 +268,10 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
             phi_i = PDiamond(p_and_all(stages[i].delta_plus), TAU,
                              (phi_i,), stages[i + 1].delta_minus)
         delta_minus_1 = p_or_all(stages[0].delta_minus)
-        if q in th(delta_minus_1):
+        if holds(q, delta_minus_1):
             return delta_minus_1
         delta_plus_1 = p_and_all(stages[0].delta_plus)
-        if q not in th(delta_plus_1):
+        if not holds(q, delta_plus_1):
             return delta_plus_1
         return phi_i
 
@@ -288,52 +286,62 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
 # Simplification
 
 
-def _canon_multiset(items) -> tuple:
-    return tuple(sorted(canonical_key(g) for g in items))
+def _silent_stage(f: PFormula) -> bool:
+    """``f`` is a silent layer with one continuation of the same delta-plus."""
+    return (isinstance(f, PDiamond) and f.label.silent and len(f.pos) == 1
+            and isinstance(f.pos[0], PDiamond)
+            and canonical_key(f.left) == canonical_key(f.pos[0].left))
 
 
-def _structural_simplify(f: PFormula, incoming_neg: tuple) -> PFormula:
-    if isinstance(f, (PTop, PBot)):
-        return f
-    if isinstance(f, (PAnd, POr)):
-        left = _structural_simplify(f.left, ())
-        right = _structural_simplify(f.right, ())
-        unit = PTop if isinstance(f, PAnd) else PBot
-        if isinstance(left, unit):
-            return right
-        if isinstance(right, unit):
-            return left
-        return type(f)(left, right)
-    left = _structural_simplify(f.left, ())
-    neg = tuple(_structural_simplify(g, ()) for g in f.neg
-                if not isinstance(g, PBot))
-    pos = tuple(_structural_simplify(g, neg) for g in f.pos
-                if not isinstance(g, PTop))
-    # Chain-stage collapse: a silent layer whose delta-plus matches its
-    # single continuation's and whose delta-minus matches the enclosing
-    # layer's is redundant.
-    if (f.label.silent and len(pos) == 1 and isinstance(pos[0], PDiamond)
-            and canonical_key(left) == canonical_key(pos[0].left)
-            and _canon_multiset(neg) == _canon_multiset(incoming_neg)):
-        return pos[0]
-    return PDiamond(left, f.label, pos, neg)
+def _structural_simplify(f: PFormula) -> PFormula:
+    """Unit laws, and the collapse of a silent stage whose delta-minus
+    matches the enclosing layer's.  That collapse depends on where a node
+    occurs, so the node's users apply it (to a positive conjunct against
+    its diamond's negated conjuncts, elsewhere against none)."""
+    def collapse(g: PFormula, incoming_neg: tuple) -> PFormula:
+        if _silent_stage(g) and (sorted(map(canonical_key, g.neg))
+                                 == sorted(map(canonical_key, incoming_neg))):
+            return g.pos[0]
+        return g
+
+    def build(g: PFormula, sub: list) -> PFormula:
+        if isinstance(g, (PTop, PBot)):
+            return g
+        if isinstance(g, (PAnd, POr)):
+            left, right = (collapse(h, ()) for h in sub)
+            unit = PTop if isinstance(g, PAnd) else PBot
+            if isinstance(left, unit):
+                return right
+            if isinstance(right, unit):
+                return left
+            return type(g)(left, right)
+        n_pos = len(g.pos)
+        neg = tuple(collapse(h, ()) for c, h in zip(g.neg, sub[1 + n_pos:])
+                    if not isinstance(c, PBot))
+        pos = tuple(collapse(h, neg) for c, h in zip(g.pos, sub[1:])
+                    if not isinstance(c, PTop))
+        return PDiamond(collapse(sub[0], ()), g.label, pos, neg)
+
+    return collapse(_fold(f, _p_children, build), ())
 
 
-def _semantic_collapse(l: Lts, f: PFormula, memo: dict) -> PFormula:
-    if isinstance(f, (PTop, PBot)):
-        return f
-    if isinstance(f, (PAnd, POr)):
-        return type(f)(_semantic_collapse(l, f.left, memo),
-                       _semantic_collapse(l, f.right, memo))
-    out = PDiamond(_semantic_collapse(l, f.left, memo), f.label,
-                   tuple(_semantic_collapse(l, g, memo) for g in f.pos),
-                   tuple(_semantic_collapse(l, g, memo) for g in f.neg))
-    while (out.label.silent and len(out.pos) == 1
-           and isinstance(out.pos[0], PDiamond)
-           and canonical_key(out.left) == canonical_key(out.pos[0].left)
-           and _p_sat(l, out, memo) == _p_sat(l, out.pos[0], memo)):
-        out = out.pos[0]
-    return out
+def _semantic_collapse(l: Lts, f: PFormula) -> PFormula:
+    ev = SatEvaluator.of(l)
+
+    def build(g: PFormula, sub: list) -> PFormula:
+        if isinstance(g, (PTop, PBot)):
+            return g
+        if isinstance(g, (PAnd, POr)):
+            return type(g)(*sub)
+        n_pos = len(g.pos)
+        out = PDiamond(sub[0], g.label, tuple(sub[1:1 + n_pos]),
+                       tuple(sub[1 + n_pos:]))
+        while (_silent_stage(out)
+               and ev.mask(p_embed(out)) == ev.mask(p_embed(out.pos[0]))):
+            out = out.pos[0]
+        return out
+
+    return _fold(f, _p_children, build)
 
 
 def simplify(f: PFormula, l: Lts | None = None) -> PFormula:
@@ -341,10 +349,10 @@ def simplify(f: PFormula, l: Lts | None = None) -> PFormula:
 
     Purely structural by default; when an LTS is supplied, additionally
     collapses silent layers whose removal is satisfaction-equivalent on
-    that LTS (checked by re-evaluation).
+    that LTS (checked by re-evaluation).  Each pass visits each node of
+    the formula DAG once.
     """
-    out = _structural_simplify(f, ())
+    out = _structural_simplify(f)
     if l is not None:
-        closed = reflexive_closure(l)
-        out = _semantic_collapse(closed, out, {})
+        out = _semantic_collapse(l, out)
     return out

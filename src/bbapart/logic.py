@@ -21,7 +21,7 @@ from .lts import (
     Lts,
     NonReflexiveLtsError,
     constrained_tau_reach,
-    tau_closure,
+    reflexive_closure,
 )
 
 
@@ -119,52 +119,38 @@ def diamond(label: ActionLabel, f: Formula) -> Formula:
     return Diamond(TOP, label, f)
 
 
-def is_positive(f: Formula) -> bool:
+def _classify(f: Formula, sub: list) -> tuple:
+    """Whether ``f`` is (positive, negative, good, modality-free), from the
+    same four of each child; :func:`_fold` classifies each node once."""
     if isinstance(f, Top):
-        return True
+        return (True, True, True, True)
     if isinstance(f, Neg):
-        return is_negative(f.child)
+        positive, negative, good, free = sub[0]
+        return (negative, positive, good, free)
     if isinstance(f, And):
-        return is_positive(f.left) and is_positive(f.right)
+        return tuple(map(all, zip(*sub)))
     if isinstance(f, Diamond):
         # Positivity of a diamond depends only on its left-hand side.
-        return is_positive(f.left)
+        (positive, _, good, _), right = sub
+        return (positive, False, positive and good and right[2], False)
     raise TypeError(f)
+
+
+def is_positive(f: Formula) -> bool:
+    return _fold(f, _children, _classify)[0]
 
 
 def is_negative(f: Formula) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Neg):
-        return is_positive(f.child)
-    if isinstance(f, And):
-        return is_negative(f.left) and is_negative(f.right)
-    if isinstance(f, Diamond):
-        return False
-    raise TypeError(f)
+    return _fold(f, _children, _classify)[1]
 
 
 def is_good(f: Formula) -> bool:
     """Every diamond occurrence has a positive left-hand side."""
-    if isinstance(f, (Top,)):
-        return True
-    if isinstance(f, Neg):
-        return is_good(f.child)
-    if isinstance(f, And):
-        return is_good(f.left) and is_good(f.right)
-    if isinstance(f, Diamond):
-        return is_positive(f.left) and is_good(f.left) and is_good(f.right)
-    raise TypeError(f)
+    return _fold(f, _children, _classify)[2]
 
 
 def modality_free(f: Formula) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Neg):
-        return modality_free(f.child)
-    if isinstance(f, And):
-        return modality_free(f.left) and modality_free(f.right)
-    return False
+    return _fold(f, _children, _classify)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +433,12 @@ class SatEvaluator:
             if proper:
                 self._tau_pred[q] = proper
 
+    @classmethod
+    def of(cls, l: Lts) -> "SatEvaluator":
+        """The evaluator of the reflexive closure of ``l``, kept with the
+        closure, so that every caller on the LTS shares its memo."""
+        return reflexive_closure(l).memo(cls)
+
     def mask(self, f: Formula) -> int:
         """The states satisfying ``f``, as a bitmask."""
         memo = self._memo
@@ -571,15 +563,15 @@ class DiamondWitness:
 
 
 def diamond_witness(l: Lts, p: int, delta: Formula, label: ActionLabel,
-                    psi: Formula, ev: SatEvaluator | None = None
-                    ) -> DiamondWitness | None:
-    """Materialize the existential in the diamond semantics.
+                    psi: Formula) -> DiamondWitness | None:
+    """Materialize the existential in the diamond semantics, on the
+    reflexive closure of ``l`` (with the shared :meth:`SatEvaluator.of`).
 
     Returns a shortest witness path (ties broken towards smaller state
-    indices), or None when the diamond does not hold at ``p``.  Pass the
-    caller's evaluator of ``l`` as ``ev`` to reuse its memo.
+    indices), or None when the diamond does not hold at ``p``.
     """
-    ev = SatEvaluator(l) if ev is None else ev
+    ev = SatEvaluator.of(l)
+    l = ev.lts
     s_delta = ev.set(delta)
     s_psi = ev.set(psi)
     if p not in s_delta:

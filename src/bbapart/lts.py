@@ -6,6 +6,7 @@ immutable; operations return new objects and never mutate their input.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -156,27 +157,14 @@ class Lts:
     def has_reflexive_silent_steps(self) -> bool:
         return all((p, TAU, p) in self.transitions for p in range(self.n_states))
 
-    @cached_property
-    def _reflexive_closure(self) -> "Lts":
-        if self.has_reflexive_silent_steps:
-            return self
-        loops = frozenset((p, TAU, p) for p in range(self.n_states))
-        return Lts(self.n_states, self.transitions | loops, self.initial, self.names)
-
-    @cached_property
-    def _tau_closure(self) -> "TauClosure":
-        reach = []
-        for p in range(self.n_states):
-            seen = {p}
-            frontier = [p]
-            while frontier:
-                cur = frontier.pop()
-                for nxt in self.succ(cur, TAU):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            reach.append(frozenset(seen))
-        return TauClosure(self, tuple(reach))
+    def memo(self, compute, *args):
+        """``compute(self, *args)``, computed once per LTS and arguments: the
+        one analysis of this LTS, shared by every caller, so never mutated."""
+        memo = self.__dict__.setdefault("_memo", {})
+        key = (compute, *args)
+        if key not in memo:
+            memo[key] = compute(self, *args)
+        return memo[key]
 
     def state_name(self, p: int) -> str:
         if self.names is not None:
@@ -255,18 +243,31 @@ def render_aut(l: Lts, silent_label: str = "tau") -> str:
     return "\n".join(lines) + "\n"
 
 
+def per_lts(compute):
+    """``compute(l)``, run once per LTS ``l`` (see :meth:`Lts.memo`)."""
+    return functools.wraps(compute)(lambda l: l.memo(compute))
+
+
 def load_names(path) -> tuple:
-    """Load a sidecar name map: a JSON object from state index to name."""
+    """Load a sidecar name map: a JSON object from state index to name.
+    Raises ``ValueError`` on any other JSON value."""
     data = json.loads(Path(path).read_text())
+    if not (isinstance(data, dict)
+            and all(isinstance(name, str) for name in data.values())):
+        raise ValueError("expected a JSON object mapping state indices to names")
     names = {int(k): v for k, v in data.items()}
     return tuple(names[i] for i in range(len(names)))
 
 
+@per_lts
 def reflexive_closure(l: Lts) -> Lts:
     """The input plus a silent self-loop on every state.  Idempotent, and
     computed once per LTS: an input that already has every self-loop is
     its own closure."""
-    return l._reflexive_closure
+    if l.has_reflexive_silent_steps:
+        return l
+    loops = frozenset((p, TAU, p) for p in range(l.n_states))
+    return Lts(l.n_states, l.transitions | loops, l.initial, l.names)
 
 
 @dataclass(frozen=True)
@@ -301,9 +302,21 @@ class TauClosure:
         return tuple(back)
 
 
+@per_lts
 def tau_closure(l: Lts) -> TauClosure:
     """Silent reachability of ``l``, computed once per LTS."""
-    return l._tau_closure
+    reach = []
+    for p in range(l.n_states):
+        seen = {p}
+        frontier = [p]
+        while frontier:
+            cur = frontier.pop()
+            for nxt in l.succ(cur, TAU):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        reach.append(frozenset(seen))
+    return TauClosure(l, tuple(reach))
 
 
 def constrained_tau_reach(l: Lts, p: int, allowed) -> frozenset:

@@ -63,59 +63,54 @@ def _pairs(n: int):
     return ((p, q) for p in range(n) for q in range(n))
 
 
-def duality_violations(l: Lts, kind: str, apart=None, bisim_rel=None) -> list:
+def duality_violations(l: Lts, kind: str, apart=None) -> list:
     """Pairs where apartness and bisimilarity of the same kind agree
-    (they must be exact complements)."""
+    (they must be exact complements).  ``apart`` replaces the engine's
+    relation, to show that a wrong relation fails the check."""
     apart = _APART_ENGINES[kind](l) if apart is None else apart
-    bisim_rel = bs.bisimilarity(l, kind) if bisim_rel is None else bisim_rel
+    bisim_rel = bs.bisimilarity(l, kind)
     return [{"kind": kind, "p": p, "q": q, "apart": (p, q) in apart}
             for p, q in _pairs(l.n_states)
             if ((p, q) in apart) == ((p, q) in bisim_rel)]
 
 
-def symmetric_closure_violations(l: Lts, directed=None, symmetric=None,
-                                 branching: bool = True) -> list:
+def symmetric_closure_violations(l: Lts, branching: bool = True) -> list:
     """The symmetric closure of a directed apartness must equal its
     symmetric counterpart (branching or strong)."""
-    if directed is None:
-        directed = (ap.directed_branching_apartness(l) if branching
-                    else ap.directed_strong_apartness(l))
-    if symmetric is None:
-        symmetric = (ap.branching_apartness(l) if branching
-                     else ap.strong_apartness(l))
-    closure = directed.symmetric_closure()
+    directed, symmetric = (("dbranching", "branching") if branching
+                           else ("dstrong", "strong"))
+    closure = _APART_ENGINES[directed](l).symmetric_closure()
     return [{"branching": branching, "p": p, "q": q,
              "inClosure": (p, q) in closure}
-            for p, q in sorted(closure ^ symmetric.holds)]
+            for p, q in sorted(closure ^ _APART_ENGINES[symmetric](l).holds)]
 
 
-def reflexive_invariance_violations(l: Lts, apart=None) -> list:
+def reflexive_invariance_violations(l: Lts) -> list:
     """Branching apartness must not change under the silent-step
     reflexive closure of the LTS."""
-    apart = ap.branching_apartness(l) if apart is None else apart
+    apart = ap.branching_apartness(l)
     closed = ap.branching_apartness(reflexive_closure(l))
     return [{"p": p, "q": q, "inOriginal": (p, q) in apart}
             for p, q in sorted(apart.holds ^ closed.holds)]
 
 
-def nonreflexive_agreement_violations(l: Lts, apart=None) -> list:
+def nonreflexive_agreement_violations(l: Lts) -> list:
     """The four-rule engine on the raw LTS must compute the same relation
     as the one-rule engine on the closure."""
-    apart = ap.directed_branching_apartness(l) if apart is None else apart
+    apart = ap.directed_branching_apartness(l)
     raw = ap.directed_branching_apartness_nonreflexive(l)
     return [{"p": p, "q": q, "inClosureEngine": (p, q) in apart}
             for p, q in sorted(apart.holds ^ raw.holds)]
 
 
-def tau_extension_violations(l: Lts, apart=None) -> list:
-    apart = ap.directed_branching_apartness(l) if apart is None else apart
-    return ap.check_tau_extension(l, apart)
+def tau_extension_violations(l: Lts) -> list:
+    return ap.check_tau_extension(l, ap.directed_branching_apartness(l))
 
 
-def apartness_stuttering_violations(l: Lts, apart=None) -> list:
+def apartness_stuttering_violations(l: Lts) -> list:
     """If r ->>tau p ->>tau t and p is branching-apart from q, then r or t
     is branching-apart from q."""
-    apart = ap.branching_apartness(l) if apart is None else apart
+    apart = ap.branching_apartness(l)
     reach = tau_closure(reflexive_closure(l)).reach
     out = []
     for r in range(l.n_states):
@@ -128,10 +123,10 @@ def apartness_stuttering_violations(l: Lts, apart=None) -> list:
     return out
 
 
-def bisim_stuttering_violations(l: Lts, bisim_rel=None) -> list:
+def bisim_stuttering_violations(l: Lts) -> list:
     """If p ->>tau r ->>tau q and p, q are branching bisimilar, so are
     p and r."""
-    bisim_rel = bs.branching_bisimilarity(l) if bisim_rel is None else bisim_rel
+    bisim_rel = bs.branching_bisimilarity(l)
     reach = tau_closure(reflexive_closure(l)).reach
     out = []
     for p in range(l.n_states):
@@ -142,35 +137,32 @@ def bisim_stuttering_violations(l: Lts, bisim_rel=None) -> list:
     return out
 
 
-def conjunction_violations(l: Lts, branching_rel=None, directed_rel=None) -> list:
+def conjunction_violations(l: Lts) -> list:
     """Branching bisimilarity must be the two-way intersection of directed
     branching bisimilarity."""
-    branching_rel = (bs.branching_bisimilarity(l) if branching_rel is None
-                     else branching_rel)
-    directed_rel = (bs.directed_branching_bisimilarity(l) if directed_rel is None
-                    else directed_rel)
+    branching_rel = bs.branching_bisimilarity(l)
+    directed_rel = bs.directed_branching_bisimilarity(l)
     return [{"p": p, "q": q, "branching": (p, q) in branching_rel}
             for p, q in _pairs(l.n_states)
             if ((p, q) in branching_rel)
             != ((p, q) in directed_rel and (q, p) in directed_rel)]
 
 
-def fixed_point_violations(l: Lts, relations=None) -> list:
+def fixed_point_violations(l: Lts) -> list:
     """Each greatest-fixpoint output must survive one more deletion pass."""
     out = []
     for kind in KINDS:
-        rel = (relations or {}).get(kind) or bs.bisimilarity(l, kind)
-        for p, q in bs.refine_once_violations(l, kind, rel):
+        for p, q in bs.refine_once_violations(l, kind, bs.bisimilarity(l, kind)):
             out.append({"kind": kind, "p": p, "q": q})
     return out
 
 
-def synthesis_violations(l: Lts, apart=None) -> list:
+def synthesis_violations(l: Lts) -> list:
     """Every directed-branching-apart pair must yield, via derivation
     extraction and formula synthesis, a P-formula its left state satisfies
     and its right state does not."""
-    apart = ap.directed_branching_apartness(l) if apart is None else apart
-    ev = SatEvaluator(reflexive_closure(l))
+    apart = ap.directed_branching_apartness(l)
+    ev = SatEvaluator.of(l)
     out = []
     for p, q in sorted(apart.holds):
         try:
@@ -188,21 +180,27 @@ def synthesis_violations(l: Lts, apart=None) -> list:
 # Enumeration-gated logic suites
 
 
+def _enumeration(l: Lts, depth: int) -> tuple:
+    """``(g, satisfaction set)`` per enumerated P-formula ``g``; ``g``
+    keeps its embedding (see :func:`p_embed`)."""
+    ev = SatEvaluator.of(l)
+    return tuple((g, ev.set(p_embed(g)))
+                 for g in enumerate_pformulas(l.visible_actions, depth))
+
+
 def _enum_context(l: Lts, depth: int):
-    closed = reflexive_closure(l)
-    formulas = enumerate_pformulas(closed.visible_actions, depth)
-    return closed, SatEvaluator(closed), formulas
+    """The reflexive closure, its evaluator and its enumeration of ``depth``."""
+    return reflexive_closure(l), SatEvaluator.of(l), l.memo(_enumeration, depth)
 
 
 def tau_transfer_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     """Positive formulas transfer satisfaction backward along silent
     steps, negative ones forward; checked on embedded enumerated
     P-formulas and their negations."""
-    closed, ev, formulas = _enum_context(l, depth)
+    closed, _, enumeration = _enum_context(l, depth)
     silent_steps = [(p, p1) for p, label, p1 in closed.transitions if label.silent]
     out = []
-    for g in formulas:
-        sat = ev.set(p_embed(g))
+    for g, sat in enumeration:
         for p, p1 in silent_steps:
             # Backward transfer for the positive embedding; the same
             # configuration also breaks forward transfer of its negation.
@@ -215,15 +213,14 @@ def simpler_diamond_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     """For diamonds with a positive left side, the constrained-path
     semantics must coincide with the simpler two-step formulation
     (some silent-reachable delta-state with a step into a psi-state)."""
-    closed, ev, formulas = _enum_context(l, depth)
+    closed, ev, enumeration = _enum_context(l, depth)
     reach = tau_closure(closed).reach
     out = []
-    for g in formulas:
+    for g, sat in enumeration:
         if not isinstance(g, PDiamond):
             continue
         f = p_embed(g)
         s_delta, s_right = ev.set(f.left), ev.set(f.right)
-        sat = ev.set(f)
         for p in range(closed.n_states):
             simpler = any(p1 in s_delta
                           and any(dst in s_right
@@ -237,11 +234,10 @@ def simpler_diamond_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
 def p_embed_agreement_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     """The direct P-formula evaluator and the HMLU checker applied to the
     embedding must agree everywhere."""
-    closed, ev, formulas = _enum_context(l, depth)
+    closed, _, enumeration = _enum_context(l, depth)
     psat: dict = {}  # the P-evaluator's own memo, shared across formulas
     out = []
-    for g in formulas:
-        sat = ev.set(p_embed(g))
+    for g, sat in enumeration:
         direct = _p_sat(closed, g, psat)
         for p in range(closed.n_states):
             if (p in direct) != (p in sat):
@@ -252,27 +248,25 @@ def p_embed_agreement_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
 def modality_free_violations(l: Lts) -> list:
     """Formulas without modalities are constant: satisfied everywhere or
     nowhere."""
-    closed = reflexive_closure(l)
-    ev = SatEvaluator(closed)
+    ev = SatEvaluator.of(l)
     samples = [TOP, BOT, Neg(BOT), And(TOP, TOP), And(TOP, BOT),
                Neg(And(TOP, BOT)), And(Neg(BOT), Neg(TOP))]
     out = []
     for f in samples:
         sat = ev.set(f)
-        if sat and len(sat) != closed.n_states:
+        if sat and len(sat) != l.n_states:
             out.append({"formula": repr(f), "satCount": len(sat)})
     return out
 
 
-def good_formula_violations(l: Lts, depth: int = ENUM_DEPTH, apart=None) -> list:
+def good_formula_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     """A positive good formula separating p from q forces (p, q) into
     directed branching apartness (its negation, a negative good formula,
     forces the same pair from the other side)."""
-    apart = ap.directed_branching_apartness(l) if apart is None else apart
-    closed, ev, formulas = _enum_context(l, depth)
+    apart = ap.directed_branching_apartness(l)
+    closed, _, enumeration = _enum_context(l, depth)
     out = []
-    for g in formulas:
-        sat = ev.set(p_embed(g))
+    for g, sat in enumeration:
         for p in sat:
             for q in range(closed.n_states):
                 if q not in sat and (p, q) not in apart:
@@ -280,8 +274,7 @@ def good_formula_violations(l: Lts, depth: int = ENUM_DEPTH, apart=None) -> list
     return out
 
 
-def characterization_violations(l: Lts, depth: int = ENUM_DEPTH,
-                                apart=None, branching_apart=None) -> list:
+def characterization_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     """Two-sided logical characterization at desk scale.
 
     Directed: a depth-bounded theory non-inclusion forces apartness, and
@@ -289,11 +282,10 @@ def characterization_violations(l: Lts, depth: int = ENUM_DEPTH,
     a pair is distinguishable by some bounded formula (either polarity)
     iff it is branching apart, with apart pairs separated by synthesis.
     """
-    apart = ap.directed_branching_apartness(l) if apart is None else apart
-    branching_apart = (ap.branching_apartness(l) if branching_apart is None
-                       else branching_apart)
-    closed, ev, formulas = _enum_context(l, depth)
-    sats = [ev.set(p_embed(g)) for g in formulas]
+    apart = ap.directed_branching_apartness(l)
+    branching_apart = ap.branching_apartness(l)
+    _, ev, enumeration = _enum_context(l, depth)
+    sats = [sat for _, sat in enumeration]
     out = []
     for p, q in _pairs(l.n_states):
         included = all(q in s for s in sats if p in s)
@@ -362,42 +354,31 @@ def cross_validate(l: Lts, enumeration_depth="auto",
     if enumeration_depth == "auto":
         enumeration_depth = ENUM_DEPTH if l.n_states <= ENUM_STATE_LIMIT else None
 
-    aparts = {kind: engine(l) for kind, engine in _APART_ENGINES.items()}
-    bisims = {kind: bs.bisimilarity(l, kind) for kind in KINDS}
-
-    duality_aparts = dict(aparts)
+    corrupted = None
     if _corrupt_duality_pair is not None:
-        rel = aparts["dbranching"]
-        duality_aparts["dbranching"] = ap.DirectedPairRelation(
+        rel = ap.directed_branching_apartness(l)
+        corrupted = ap.DirectedPairRelation(
             rel.n_states, rel.holds ^ {tuple(_corrupt_duality_pair)}, rel.rounds)
 
     entries = [
-        _entry(f"duality-{kind}",
-               duality_violations(l, kind, duality_aparts[kind], bisims[kind]))
+        _entry(f"duality-{kind}", duality_violations(
+            l, kind, corrupted if kind == "dbranching" else None))
         for kind in KINDS
     ]
     entries += [
         _entry("symmetric-closure-branching",
-               symmetric_closure_violations(
-                   l, aparts["dbranching"], aparts["branching"], branching=True)),
+               symmetric_closure_violations(l, branching=True)),
         _entry("symmetric-closure-strong",
-               symmetric_closure_violations(
-                   l, aparts["dstrong"], aparts["strong"], branching=False)),
-        _entry("reflexive-invariance",
-               reflexive_invariance_violations(l, aparts["branching"])),
+               symmetric_closure_violations(l, branching=False)),
+        _entry("reflexive-invariance", reflexive_invariance_violations(l)),
         _entry("nonreflexive-engine-agreement",
-               nonreflexive_agreement_violations(l, aparts["dbranching"])),
-        _entry("tau-extension",
-               tau_extension_violations(l, aparts["dbranching"])),
-        _entry("apartness-stuttering",
-               apartness_stuttering_violations(l, aparts["branching"])),
-        _entry("bisim-stuttering",
-               bisim_stuttering_violations(l, bisims["branching"])),
-        _entry("conjunction-corollary",
-               conjunction_violations(l, bisims["branching"], bisims["dbranching"])),
-        _entry("bisim-fixed-point", fixed_point_violations(l, bisims)),
-        _entry("synthesis-soundness",
-               synthesis_violations(l, aparts["dbranching"])),
+               nonreflexive_agreement_violations(l)),
+        _entry("tau-extension", tau_extension_violations(l)),
+        _entry("apartness-stuttering", apartness_stuttering_violations(l)),
+        _entry("bisim-stuttering", bisim_stuttering_violations(l)),
+        _entry("conjunction-corollary", conjunction_violations(l)),
+        _entry("bisim-fixed-point", fixed_point_violations(l)),
+        _entry("synthesis-soundness", synthesis_violations(l)),
         _entry("modality-free-constant", modality_free_violations(l)),
     ]
     if enumeration_depth is not None:
@@ -406,11 +387,8 @@ def cross_validate(l: Lts, enumeration_depth="auto",
             _entry("tau-transfer", tau_transfer_violations(l, d)),
             _entry("simpler-diamond", simpler_diamond_violations(l, d)),
             _entry("p-embed-agreement", p_embed_agreement_violations(l, d)),
-            _entry("good-formula-soundness",
-                   good_formula_violations(l, d, aparts["dbranching"])),
-            _entry("logical-characterization",
-                   characterization_violations(l, d, aparts["dbranching"],
-                                               aparts["branching"])),
+            _entry("good-formula-soundness", good_formula_violations(l, d)),
+            _entry("logical-characterization", characterization_violations(l, d)),
         ]
     return ValidationReport(tuple(entries))
 
@@ -447,10 +425,9 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
         raise KeyError(f"unknown relation kind: {kind!r}")
     if not (0 <= p < l.n_states and 0 <= q < l.n_states):
         raise KeyError("state index out of range")
-    engine = (ap.directed_branching_apartness_nonreflexive
-              if kind == "dbranching" and nonreflexive
-              else _APART_ENGINES[kind])
-    apart = engine(l)
+    apart = (ap.directed_branching_apartness_nonreflexive(l)
+             if kind == "dbranching" and nonreflexive
+             else _APART_ENGINES[kind](l))
     result = {
         "kind": kind,
         "apart": (p, q) in apart,
@@ -461,8 +438,7 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
         # Certificates come from the directed engine (its round stamps, not
         # the four-rule engine's); for the symmetric kind the held
         # direction of the directed relation supplies one.
-        db = (apart if kind == "dbranching" and not nonreflexive
-              else ap.directed_branching_apartness(l))
+        db = ap.directed_branching_apartness(l)
         pair = (p, q) if (p, q) in db else (q, p)
         result["derivation"] = ap.extract_derivation(l, db, *pair).to_json(l)
     return result

@@ -114,31 +114,29 @@ def test_criterion_1_paper_example_regressions(fix1, fixsr, fixpq, fixg2):
 def test_criterion_2_duality(corpus):
     for l, aparts, bisims in corpus:
         for kind in KINDS:
-            assert duality_violations(l, kind, aparts[kind], bisims[kind]) == []
+            assert duality_violations(l, kind, aparts[kind]) == []
     _report(2, "apartness/bisimilarity duality on the corpus")
 
 
 def test_criterion_3_symmetric_closures(corpus):
     for l, aparts, _ in corpus:
-        assert symmetric_closure_violations(
-            l, aparts["dbranching"], aparts["branching"], branching=True) == []
-        assert symmetric_closure_violations(
-            l, aparts["dstrong"], aparts["strong"], branching=False) == []
+        assert symmetric_closure_violations(l, branching=True) == []
+        assert symmetric_closure_violations(l, branching=False) == []
     _report(3, "symmetric-closure theorems on the corpus")
 
 
 def test_criterion_4_closure_invariance_and_rule_systems(corpus):
     for l, aparts, _ in corpus:
-        assert reflexive_invariance_violations(l, aparts["branching"]) == []
-        assert nonreflexive_agreement_violations(l, aparts["dbranching"]) == []
+        assert reflexive_invariance_violations(l) == []
+        assert nonreflexive_agreement_violations(l) == []
     _report(4, "reflexive-closure invariance and four-rule agreement")
 
 
 def test_criterion_5_tau_extension_and_stuttering(corpus):
     for l, aparts, bisims in corpus:
-        assert tau_extension_violations(l, aparts["dbranching"]) == []
-        assert apartness_stuttering_violations(l, aparts["branching"]) == []
-        assert bisim_stuttering_violations(l, bisims["branching"]) == []
+        assert tau_extension_violations(l) == []
+        assert apartness_stuttering_violations(l) == []
+        assert bisim_stuttering_violations(l) == []
     _report(5, "silent-step extension and stuttering lemmas")
 
 
@@ -151,9 +149,9 @@ def test_criterion_6_logic_properties(fix1, fixsr, fixpq, fixg2):
 
 def test_criterion_7_synthesis_soundness_and_polarity(corpus):
     for l, aparts, _ in corpus:
-        assert synthesis_violations(l, aparts["dbranching"]) == []
+        assert synthesis_violations(l) == []
         if l.n_states <= ENUM_LIMIT:
-            assert good_formula_violations(l, 2, aparts["dbranching"]) == []
+            assert good_formula_violations(l, 2) == []
     # The polarity claim also holds on every fixture alphabet.
     for name in ("fix1", "fixsr", "fixpq", "fixg2"):
         assert good_formula_violations(load_fixture(name), 2) == []

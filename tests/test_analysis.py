@@ -1,0 +1,58 @@
+"""One analysis per LTS: the relations, the oracles, the shared evaluator
+and validation's enumeration are computed on first use, kept with the
+LTS, and shared by every caller."""
+
+import pytest
+
+from bbapart import apartness as ap
+from bbapart import logic, validate
+from bbapart.generate import GenParams, campaign_instances, random_lts
+
+from conftest import load_fixture
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` by a wrapper that records each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cross_validate_enumerates_and_evaluates_once(monkeypatch):
+    g = next(g for g in campaign_instances(56, 1) if g.n_states == 5)
+    l = random_lts(g)
+    enumerations = count_calls(monkeypatch, validate, "enumerate_pformulas")
+    evaluators = count_calls(monkeypatch, logic.SatEvaluator, "__init__")
+    assert validate.cross_validate(l).ok
+    assert len(enumerations) == 1
+    assert len(evaluators) == 1
+
+
+@pytest.mark.parametrize("kind, nonreflexive",
+                         [(kind, False) for kind in validate.KINDS]
+                         + [("dbranching", True)])
+def test_check_pair_saturates_once_per_relation(monkeypatch, kind, nonreflexive):
+    l = random_lts(GenParams(n_states=8, seed=4))
+    runs = count_calls(monkeypatch, ap, "_saturate")
+    first = validate.check_pair(l, kind, 0, 1, nonreflexive)
+    # A certificate of a symmetric or four-rule verdict comes from the
+    # directed branching relation: one more relation to compute.
+    certified = "derivation" in first and (kind == "branching" or nonreflexive)
+    assert len(runs) == 1 + certified
+    assert validate.check_pair(l, kind, 0, 1, nonreflexive) == first
+    assert len(runs) == 1 + certified
+
+
+def test_a_corrupted_relation_never_enters_the_memo():
+    l = load_fixture("fixsr")
+    failing = [e.name for e in validate.cross_validate(
+        l, _corrupt_duality_pair=(0, 5)).entries if e.status != "pass"]
+    assert failing == ["duality-dbranching"]
+    fresh = ap.directed_branching_apartness(load_fixture("fixsr"))
+    assert ap.directed_branching_apartness(l) == fresh
+    assert validate.cross_validate(l).ok

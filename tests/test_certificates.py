@@ -202,12 +202,13 @@ def test_cli_distinguish_deep_chain_within_a_small_stack(capsys, tmp_path):
                                  | {(n + 1 + i, A, n + 2 + i) for i in range(n + 1)}))
     aut = tmp_path / "chains.aut"
     aut.write_text(render_aut(l))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 60)
-    try:
-        code = main(["distinguish", "--lts", str(aut), str(n + 1), "0"])
-    finally:
-        sys.setrecursionlimit(limit)
-    assert code == 0
-    text = capsys.readouterr().out
-    assert text.count('"conclusion"') == n + 1  # one node per round
+    for extra in ([], ["--simplify"]):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            code = main(["distinguish", "--lts", str(aut), *extra, str(n + 1), "0"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0, extra
+        text = capsys.readouterr().out
+        assert text.count('"conclusion"') == n + 1  # one node per round

@@ -279,6 +279,18 @@ def test_cli_usage_errors(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sidecar", ["[1, 2]", '"x"', "null", "3",
+                                     '{"0": 1, "1": 2}', '{"0": "s", "1": ["t"]}'])
+def test_cli_rejects_names_that_are_not_an_index_to_name_object(
+        capsys, tmp_path, sidecar):
+    aut = tmp_path / "t.aut"
+    aut.write_text('des (0,1,2)\n(0,"a",1)\n')
+    names = tmp_path / "n.json"
+    names.write_text(sidecar)
+    assert main(["parse", str(aut), "--names", str(names)]) == 2
+    assert "cannot load names" in capsys.readouterr().err
+
+
 def test_cli_parse_label_with_whitespace(capsys, tmp_path):
     aut = tmp_path / "bad.aut"
     aut.write_text('des (0,1,2)\n(0,"a b",1)\n')

@@ -46,7 +46,7 @@ from bbapart.lts import (
     reflexive_closure,
 )
 
-from conftest import s
+from conftest import load_fixture, s
 
 A, B, C, D = (ActionLabel(x) for x in "abcd")
 
@@ -82,6 +82,30 @@ def test_good_checks_right_side_recursively():
 def test_modality_free():
     assert modality_free(Neg(And(TOP, BOT)))
     assert not modality_free(diamond(A, TOP))
+
+
+DEEP_CHAINS = [
+    # (one more level around f, the classes of a 5,000-deep chain:
+    # positive, negative, good, modality-free)
+    (Neg, (True, True, True, True)),
+    (lambda f: And(f, TOP), (True, True, True, True)),
+    (lambda f: Diamond(f, A, TOP), (True, False, True, False)),
+    (lambda f: Diamond(TOP, A, f), (True, False, True, False)),
+    (lambda f: Diamond(TOP, A, Neg(f)), (True, False, True, False)),
+]
+
+
+@pytest.mark.parametrize("wrap, expected", DEEP_CHAINS, ids=[
+    "neg", "and", "diamond-left", "diamond-right", "diamond-negated-right"])
+def test_classifiers_on_5000_deep_chains(wrap, expected):
+    # Each node is classified once: no recursion, and no re-walk of a
+    # diamond's left side, which made is_good quadratic.
+    f = TOP
+    for _ in range(5000):
+        f = wrap(f)
+    assert (is_positive(f), is_negative(f), is_good(f), modality_free(f)) == expected
+    bad = Diamond(Neg(diamond(A, TOP)), B, f)
+    assert not is_good(bad) and is_good(Neg(Neg(f)))
 
 
 def test_p_embed_examples():
@@ -240,14 +264,18 @@ def test_deep_formula_checks():
     assert ev.holds(0, f) and not ev.holds(1, f)
 
 
-def test_diamond_witness_reuses_evaluator(fixsr):
-    closed = reflexive_closure(fixsr)
-    ev = SatEvaluator(closed)
-    phi = Diamond(diamond(D, TOP), C, TOP)
-    assert ev.holds(s(fixsr, "s"), phi)
-    w = diamond_witness(closed, s(fixsr, "s"), phi.left, C, TOP, ev)
-    assert w == diamond_witness(closed, s(fixsr, "s"), phi.left, C, TOP)
-    assert w.post == s(fixsr, "s2")
+def test_diamond_witness_reuses_evaluator():
+    # The witness search fills the one evaluator kept with the reflexive
+    # closure, which the LTS and its closure share.
+    l = load_fixture("fixsr")
+    closed = reflexive_closure(l)
+    delta = diamond(D, TOP)
+    w = diamond_witness(closed, s(l, "s"), delta, C, TOP)
+    assert w == diamond_witness(closed, s(l, "s"), delta, C, TOP)
+    assert w.post == s(l, "s2")
+    ev = SatEvaluator.of(l)
+    assert ev is SatEvaluator.of(closed) and delta in ev._memo
+    assert ev.holds(s(l, "s"), Diamond(delta, C, TOP))
 
 
 def _reference_sat(l, f) -> frozenset:
