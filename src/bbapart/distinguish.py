@@ -29,11 +29,11 @@ from .logic import (
     SatEvaluator,
     PAnd,
     POr,
+    _by_id,
+    _canon,
     _children,
     _fold,
-    _hashed_key,
     _p_children,
-    canonical_key,
     diamond_witness,
     p_and_all,
     p_embed,
@@ -106,13 +106,10 @@ def verify_distinguishes(l: Lts, phi: Formula, p: int, q: int) -> VerifyResult:
 
 def _sorted_dedup(items) -> tuple:
     """Canonical subterm order with structural duplicates removed."""
-    out, seen = [], set()
+    first: dict = {}
     for g in sorted(items, key=sort_key):
-        key = _hashed_key(g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return tuple(out)
+        first.setdefault(_canon(g), g)
+    return tuple(first.values())
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +287,7 @@ def _silent_stage(f: PFormula) -> bool:
     """``f`` is a silent layer with one continuation of the same delta-plus."""
     return (isinstance(f, PDiamond) and f.label.silent and len(f.pos) == 1
             and isinstance(f.pos[0], PDiamond)
-            and canonical_key(f.left) == canonical_key(f.pos[0].left))
+            and _canon(f.left) is _canon(f.pos[0].left))
 
 
 def _structural_simplify(f: PFormula) -> PFormula:
@@ -299,8 +296,8 @@ def _structural_simplify(f: PFormula) -> PFormula:
     occurs, so the node's users apply it (to a positive conjunct against
     its diamond's negated conjuncts, elsewhere against none)."""
     def collapse(g: PFormula, incoming_neg: tuple) -> PFormula:
-        if _silent_stage(g) and (sorted(map(canonical_key, g.neg))
-                                 == sorted(map(canonical_key, incoming_neg))):
+        if _silent_stage(g) and (_by_id(map(_canon, g.neg))
+                                 == _by_id(map(_canon, incoming_neg))):
             return g.pos[0]
         return g
 

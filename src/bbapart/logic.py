@@ -18,6 +18,7 @@ from itertools import compress
 from .lts import (
     TAU,
     ActionLabel,
+    HashConsed,
     Lts,
     NonReflexiveLtsError,
     constrained_tau_reach,
@@ -33,11 +34,11 @@ class FormulaParseError(ValueError):
 # HMLU abstract syntax
 
 
-class Formula:
+class Formula(HashConsed):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Top(Formula):
     pass
 
@@ -50,57 +51,19 @@ def _children(f: Formula) -> tuple:
     return ()
 
 
-def _formula_eq(f: Formula, g: Formula) -> bool:
-    """Structural equality by an explicit walk over pairs of nodes; cached
-    hashes reject most unequal pairs at once."""
-    stack = [(f, g)]
-    seen = set()
-    while stack:
-        a, b = stack.pop()
-        if a is b or (id(a), id(b)) in seen:
-            continue
-        seen.add((id(a), id(b)))
-        if type(a) is not type(b) or hash(a) != hash(b):
-            return False
-        if isinstance(a, Diamond) and a.label != b.label:
-            return False
-        stack.extend(zip(_children(a), _children(b)))
-    return True
-
-
-class _Node(Formula):
-    """A compound HMLU node: its hash is computed once, from its fields
-    (children give their cached hashes), so neither ``hash`` nor ``==``
-    recurses."""
-
-    __slots__ = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((type(self).__name__, *vars(self).values())))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return _formula_eq(self, other)
-
-
-@dataclass(frozen=True, eq=False)
-class Neg(_Node):
+@dataclass(frozen=True, eq=False, init=False)
+class Neg(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class And(_Node):
+@dataclass(frozen=True, eq=False, init=False)
+class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class Diamond(_Node):
+@dataclass(frozen=True, eq=False, init=False)
+class Diamond(Formula):
     left: Formula
     label: ActionLabel
     right: Formula
@@ -157,33 +120,33 @@ def modality_free(f: Formula) -> bool:
 # P-formulas
 
 
-class PFormula:
+class PFormula(HashConsed):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PTop(PFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PBot(PFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PAnd(PFormula):
     left: PFormula
     right: PFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class POr(PFormula):
     left: PFormula
     right: PFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PDiamond(PFormula):
     """Encodes  left <label> (/\\ pos  /\\  /\\ ~neg);  empty lists mean T."""
 
@@ -191,6 +154,9 @@ class PDiamond(PFormula):
     label: ActionLabel
     pos: tuple = ()
     neg: tuple = ()
+
+    def __new__(cls, left, label, pos=(), neg=()):
+        return super().__new__(cls, left, label, pos, neg)
 
 
 PTOP = PTop()
@@ -233,7 +199,7 @@ def _p_children(f: PFormula) -> tuple:
 def _cached(f: PFormula, attr: str, children, make):
     """``make(g)`` for ``f``, stored on each node as the attribute ``attr``
     and computed once per node, children first.  The attribute is not a
-    dataclass field, so ``==``, ``hash`` and ``repr`` ignore it."""
+    dataclass field, so ``repr`` ignores it."""
     def missing(g):
         return [c for c in children(g) if attr not in vars(c)]
 
@@ -311,45 +277,33 @@ def canonical_key(f: PFormula) -> tuple:
     return _cached(f, "_canonical_key", _canon_children, _make_canonical_key)
 
 
-class _HashedKey:
-    """A node's canonical key with a hash computed once, from its
-    children's hashes.  Python re-hashes a nested tuple in full on every
-    lookup, so keying a memo by :func:`canonical_key` itself costs time
-    linear in the depth of the formula per lookup."""
-
-    __slots__ = ("key", "_hash")
-
-    def __init__(self, key: tuple, hash_: int):
-        self.key = key
-        self._hash = hash_
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, _HashedKey)
-                                 and self._hash == other._hash
-                                 and self.key == other.key)
+def _by_id(items) -> tuple:
+    """Live nodes in one fixed order, so equal multisets give equal tuples."""
+    return tuple(sorted(items, key=id))
 
 
-def _make_hashed_key(f: PFormula) -> _HashedKey:
-    # Hash exactly what canonical_key compares: equal keys, equal hashes.
+def _make_canon(f: PFormula) -> PFormula | None:
+    """The canonical representative of ``f`` built from its children's
+    (see :func:`_canon`), or None when that is ``f`` itself."""
     if isinstance(f, PDiamond):
-        shape = (2, f.label.sort_key, f.left._hashed_key._hash,
-                 tuple(sorted(g._hashed_key._hash for g in f.pos)),
-                 tuple(sorted(g._hashed_key._hash for g in f.neg)))
+        rep = PDiamond(_canon(f.left), f.label, _by_id(map(_canon, f.pos)),
+                       _by_id(map(_canon, f.neg)))
     elif isinstance(f, (PAnd, POr)):
-        shape = (3 if isinstance(f, PAnd) else 4,
-                 tuple(sorted(g._hashed_key._hash for g in _flat(f))))
+        items = _by_id(map(_canon, _flat(f)))
+        rep = p_and_all(items) if isinstance(f, PAnd) else p_or_all(items)
     else:
-        shape = canonical_key(f)
-    return _HashedKey(canonical_key(f), hash(shape))
+        rep = f
+    return None if rep is f else rep
 
 
-def _hashed_key(f: PFormula) -> _HashedKey:
-    """:func:`canonical_key` as a dict key that hashes in constant time.
-    Computed once per node and kept on it."""
-    return _cached(f, "_hashed_key", _canon_children, _make_hashed_key)
+def _canon(f: PFormula) -> PFormula:
+    """The one node shared by every P-formula with the same
+    :func:`canonical_key`: And/Or chains flattened and operand multisets
+    put in one fixed order, so AC-equal formulas have identical
+    representatives and a set of them is keyed in constant time.
+    Computed once per node and kept on it (a node that is its own
+    representative keeps None, so it holds no reference to itself)."""
+    return _cached(f, "_canon", _canon_children, _make_canon) or f
 
 
 def p_and_all(items) -> PFormula:
@@ -524,8 +478,9 @@ def p_satisfies(l: Lts, p: int, f: PFormula) -> bool:
 
 
 def _p_sat(l: Lts, f: PFormula, memo: dict) -> frozenset:
-    """Satisfaction set of ``f``; ``memo`` maps :func:`_hashed_key` keys
-    to sets and may be shared between calls on the same LTS."""
+    """Satisfaction set of ``f``; ``memo`` maps the identities of nodes to
+    sets and may be shared between calls on the same LTS while its nodes
+    stay alive."""
     def build(g: PFormula, sub: list) -> frozenset:
         if isinstance(g, PTop):
             return frozenset(range(l.n_states))
@@ -550,7 +505,7 @@ def _p_sat(l: Lts, f: PFormula, memo: dict) -> frozenset:
                        for p1 in constrained_tau_reach(l, p, s_left)))
         raise TypeError(g)
 
-    return _fold(f, _p_children, build, memo, key=_hashed_key)
+    return _fold(f, _p_children, build, memo)
 
 
 @dataclass(frozen=True)
@@ -624,15 +579,15 @@ def enumerate_pformulas(actions, depth: int) -> list:
         prev = list(level)
         lefts = [f for f in prev if not isinstance(f, PBot)]
         operands = [f for f in prev if isinstance(f, PDiamond)]
-        seen = {canonical_key(f) for f in level}
+        seen = {_canon(f) for f in level}
         for left in lefts:
             for label in labels:
                 for pos in [()] + [(g,) for g in operands]:
                     for neg in [()] + [(g,) for g in operands]:
-                        if pos and neg and canonical_key(pos[0]) == canonical_key(neg[0]):
+                        if pos and neg and _canon(pos[0]) is _canon(neg[0]):
                             continue
                         f = PDiamond(left, label, pos, neg)
-                        key = canonical_key(f)
+                        key = _canon(f)
                         if key not in seen:
                             seen.add(key)
                             level.append(f)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -33,20 +34,47 @@ class NonReflexiveLtsError(ValueError):
 _NAME_RE = re.compile(r'^[^\s"]+$')
 
 
-@dataclass(frozen=True)
-class ActionLabel:
+class HashConsed:
+    """Hash-consing: calling a subclass returns the one live instance of it
+    with the same parts, compared by identity, so ``==`` is ``is`` and
+    hashing takes constant time; for formulas, equal formulas are one
+    object and a formula is a DAG by construction.  Each class keeps its
+    instances in a weak-value table, so an instance and its entry die
+    with the instance's last user."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._table = weakref.WeakValueDictionary()
+
+    def __new__(cls, *parts):
+        node = cls._table.get(parts)
+        if node is None:
+            node = cls._table[parts] = object.__new__(cls)
+            vars(node).update(zip(cls._fields, parts))
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class ActionLabel(HashConsed):
     """An action: either the silent action or a named visible action.
 
-    ``name is None`` encodes the silent action; there is exactly one such
-    value up to equality.  Visible names are case-sensitive, nonempty, and
-    contain no whitespace or quotes.
+    ``name is None`` encodes the silent action.  Labels are interned by
+    name (see :class:`HashConsed`).  Visible names are case-sensitive,
+    nonempty, and contain no whitespace or quotes.
     """
 
     name: str | None = None
 
-    def __post_init__(self):
-        if self.name is not None and not _NAME_RE.match(self.name):
-            raise ValueError(f"invalid action name: {self.name!r}")
+    def __new__(cls, name=None):
+        if name is not None and not _NAME_RE.match(name):
+            raise ValueError(f"invalid action name: {name!r}")
+        return super().__new__(cls, name)
 
     @property
     def silent(self) -> bool:

@@ -31,7 +31,7 @@ from .logic import (
     _p_sat,
     p_embed,
 )
-from .lts import Lts, reflexive_closure, tau_closure
+from .lts import Lts, per_lts, reflexive_closure, tau_closure
 
 ENUM_STATE_LIMIT = 5
 ENUM_DEPTH = 2
@@ -86,12 +86,13 @@ def symmetric_closure_violations(l: Lts, branching: bool = True) -> list:
 
 
 def reflexive_invariance_violations(l: Lts) -> list:
-    """Branching apartness must not change under the silent-step
-    reflexive closure of the LTS."""
-    apart = ap.branching_apartness(l)
-    closed = ap.branching_apartness(reflexive_closure(l))
-    return [{"p": p, "q": q, "inOriginal": (p, q) in apart}
-            for p, q in sorted(apart.holds ^ closed.holds)]
+    """Directed branching apartness must not change under the silent-step
+    reflexive closure: the four-rule engine, which reads the LTS as
+    given, must compute the same relation on the LTS and on its closure."""
+    raw = ap.directed_branching_apartness_nonreflexive(l)
+    closed = ap.directed_branching_apartness_nonreflexive(reflexive_closure(l))
+    return [{"p": p, "q": q, "inOriginal": (p, q) in raw}
+            for p, q in sorted(raw.holds ^ closed.holds)]
 
 
 def nonreflexive_agreement_violations(l: Lts) -> list:
@@ -157,10 +158,12 @@ def fixed_point_violations(l: Lts) -> list:
     return out
 
 
+@per_lts
 def synthesis_violations(l: Lts) -> list:
     """Every directed-branching-apart pair must yield, via derivation
     extraction and formula synthesis, a P-formula its left state satisfies
-    and its right state does not."""
+    and its right state does not.  Run once per LTS: the logical
+    characterization reads the same verdicts."""
     apart = ap.directed_branching_apartness(l)
     ev = SatEvaluator.of(l)
     out = []
@@ -284,19 +287,16 @@ def characterization_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     """
     apart = ap.directed_branching_apartness(l)
     branching_apart = ap.branching_apartness(l)
-    _, ev, enumeration = _enum_context(l, depth)
-    sats = [sat for _, sat in enumeration]
+    sats = [sat for _, sat in l.memo(_enumeration, depth)]
+    unsound = {(v["p"], v["q"]) for v in synthesis_violations(l)}
     out = []
     for p, q in _pairs(l.n_states):
         included = all(q in s for s in sats if p in s)
         separable = any((p in s) != (q in s) for s in sats)
         if not included and (p, q) not in apart:
             out.append({"p": p, "q": q, "issue": "non-inclusion without apartness"})
-        if (p, q) in apart:
-            f = p_embed(formula_from_derivation(
-                l, ap.extract_derivation(l, apart, p, q)))
-            if not (ev.holds(p, f) and not ev.holds(q, f)):
-                out.append({"p": p, "q": q, "issue": "synthesis fails inclusion witness"})
+        if (p, q) in unsound:
+            out.append({"p": p, "q": q, "issue": "synthesis fails inclusion witness"})
         if separable and (p, q) not in branching_apart:
             out.append({"p": p, "q": q, "issue": "separable but not branching apart"})
         if p != q and (p, q) not in branching_apart and not included:

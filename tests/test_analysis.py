@@ -33,6 +33,17 @@ def test_cross_validate_enumerates_and_evaluates_once(monkeypatch):
     assert len(evaluators) == 1
 
 
+def test_cross_validate_extracts_each_apart_pair_once(monkeypatch):
+    # Synthesis soundness and the logical characterization read one
+    # synthesised formula per directed-branching-apart pair.
+    l = next(l for l in map(random_lts, campaign_instances(56, 1))
+             if l.n_states == 5 and ap.directed_branching_apartness(l).holds)
+    extractions = count_calls(monkeypatch, ap, "extract_derivation")
+    assert validate.cross_validate(l).ok
+    pairs = sorted(args[2:] for args in extractions)
+    assert pairs == sorted(ap.directed_branching_apartness(l).holds)
+
+
 @pytest.mark.parametrize("kind, nonreflexive",
                          [(kind, False) for kind in validate.KINDS]
                          + [("dbranching", True)])

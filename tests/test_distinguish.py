@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from bbapart.apartness import directed_branching_apartness, extract_derivation
 from bbapart.distinguish import (
     InvalidDerivationError,
     NotDistinguishingError,
+    _sorted_dedup,
     formula_from_derivation,
     pformula_from_hmlu,
     simplify,
@@ -22,6 +24,7 @@ from bbapart.logic import (
     TOP,
     canonical_key,
     diamond,
+    sort_key,
     p_embed,
     parse_formula,
 )
@@ -173,3 +176,15 @@ def test_simplify_semantic_collapse(fixsr):
     for p in range(fixsr.n_states):
         assert (verify_distinguishes(fixsr, p_embed(slim), p, 3).direction
                 == verify_distinguishes(fixsr, p_embed(wrapped), p, 3).direction)
+
+
+def test_sorted_dedup_takes_constant_time_per_item_on_deep_formulas():
+    # Conjunctions equal up to commutativity, over a 5,000-deep diamond:
+    # deduplication keys each item by its canonical representative.
+    deep = PTOP
+    for _ in range(5000):
+        deep = PDiamond(PTOP, A, (deep,), ())
+    f, g = PAnd(deep, DIA(B)), PAnd(DIA(B), deep)
+    start = time.perf_counter()
+    assert _sorted_dedup([f, g] * 2000) == (min(f, g, key=sort_key),)
+    assert time.perf_counter() - start < 1.0

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbapart import bisim
+from bbapart import apartness, bisim
 from bbapart.cli import main
 from bbapart.generate import GenParams, campaign_instances, random_lts
 from bbapart.lts import TAU, ActionLabel, Lts, render_aut
@@ -75,6 +75,28 @@ def test_cross_validate_corruption_detected(fixsr):
     assert [e.name for e in failing] == ["duality-dbranching"]
     cx = failing[0].counterexample
     assert {"p", "q", "apart"} <= set(cx)
+
+
+def test_reflexive_invariance_fails_for_an_engine_that_reads_the_loops(
+        monkeypatch, fixsr):
+    # The property compares the four-rule engine on the raw LTS with the
+    # same engine on its reflexive closure, so an engine whose answer
+    # depends on the silent self-loops fails it.
+    engine = apartness.directed_branching_apartness_nonreflexive
+
+    def loop_sensitive(l):
+        rel = engine(l)
+        if not l.has_reflexive_silent_steps:
+            return rel
+        return apartness.DirectedPairRelation(
+            rel.n_states, rel.holds ^ {(0, 0)}, rel.rounds)
+    monkeypatch.setattr(apartness, "directed_branching_apartness_nonreflexive",
+                        loop_sensitive)
+    assert not fixsr.has_reflexive_silent_steps
+    failing = [e for e in cross_validate(fixsr).entries if e.status != "pass"]
+    assert [e.name for e in failing] == ["reflexive-invariance"]
+    assert failing[0].counterexample == {"p": 0, "q": 0, "inOriginal": False,
+                                         "violationCount": 1}
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +19,11 @@ from bbapart.logic import (
     POr,
     PTOP,
     TOP,
-    _hashed_key,
+    _canon,
     canonical_key,
     diamond,
     SatEvaluator,
+    Top,
     diamond_witness,
     enumerate_pformulas,
     f_or,
@@ -246,7 +251,7 @@ def test_deep_formula_round_trip_and_hash():
     f = _deep_formula(5000)
     text = format_formula(f)
     g = parse_formula(text)
-    assert g == f and g is not f
+    assert g == f and g is f
     assert hash(g) == hash(f)
     assert len({f, g}) == 1
     assert format_formula(g) == text
@@ -371,14 +376,14 @@ def test_cached_keys_match_definition(f, g):
     assert sort_key(f) == _old_sort_key(f)
     assert canonical_key(f) == _old_canonical_key(f)
     # Keys are cached on the nodes, outside equality, hashing and repr.
-    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+    assert f is fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
     assert (sort_key(f) < sort_key(g)) == (_old_sort_key(f) < _old_sort_key(g))
     assert ((canonical_key(f) == canonical_key(g))
             == (_old_canonical_key(f) == _old_canonical_key(g)))
-    # The memo key agrees with the canonical key, hash included.
-    assert _hashed_key(f) == _hashed_key(fresh)
-    assert hash(_hashed_key(f)) == hash(_hashed_key(fresh))
-    assert (_hashed_key(f) == _hashed_key(g)) == (canonical_key(f) == canonical_key(g))
+    # The canonical representative agrees with the canonical key.
+    assert _canon(_canon(f)) is _canon(f)
+    assert canonical_key(_canon(f)) == canonical_key(f)
+    assert (_canon(f) is _canon(g)) == (canonical_key(f) == canonical_key(g))
 
 
 def test_deep_pformula_walks():
@@ -403,3 +408,72 @@ def test_p_satisfies_is_linear_in_depth():
     start = time.perf_counter()
     assert p_satisfies(closed, 0, f) and not p_satisfies(closed, 1, f)
     assert time.perf_counter() - start < 1.0
+
+
+def _rebuild_hmlu(f):
+    if isinstance(f, Neg):
+        return Neg(_rebuild_hmlu(f.child))
+    if isinstance(f, And):
+        return And(_rebuild_hmlu(f.left), _rebuild_hmlu(f.right))
+    if isinstance(f, Diamond):
+        return Diamond(_rebuild_hmlu(f.left), f.label, _rebuild_hmlu(f.right))
+    return Top()
+
+
+def _pformula_from_json(data):
+    """Rebuild a P-formula from the shape of :func:`pformula_to_json`."""
+    kind = data["type"]
+    if kind in ("top", "bot"):
+        return PTOP if kind == "top" else PBOT
+    if kind in ("and", "or"):
+        return (PAnd if kind == "and" else POr)(_pformula_from_json(data["left"]),
+                                                _pformula_from_json(data["right"]))
+    label = TAU if data["label"] == "tau" else ActionLabel(data["label"])
+    return PDiamond(_pformula_from_json(data["left"]), label,
+                    tuple(map(_pformula_from_json, data["pos"])),
+                    tuple(map(_pformula_from_json, data["neg"])))
+
+
+def _embed_by_definition(f):
+    """The HMLU view of a P-formula, from fresh constructor calls."""
+    if isinstance(f, (PAnd, POr)):
+        make = And if isinstance(f, PAnd) else f_or
+        return make(_embed_by_definition(f.left), _embed_by_definition(f.right))
+    if isinstance(f, PDiamond):
+        parts = ([_embed_by_definition(g) for g in f.pos]
+                 + [Neg(_embed_by_definition(g)) for g in f.neg])
+        right = parts[-1] if parts else TOP
+        for g in reversed(parts[:-1]):
+            right = And(g, right)
+        return Diamond(_embed_by_definition(f.left), f.label, right)
+    return TOP if f is PTOP else Neg(Top())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hmlu, pformulas)
+def test_a_formula_built_twice_is_one_object(f, g):
+    assert _rebuild_hmlu(f) is f
+    assert parse_formula(format_formula(f)) is f
+    assert _rebuild(g) is g
+    assert _pformula_from_json(pformula_to_json(g)) is g
+    assert _embed_by_definition(g) is p_embed(g)
+    assert parse_formula(format_pformula(g)) is p_embed(g)
+    assert ActionLabel("a") is A and ActionLabel() is TAU
+    # Copies and pickles rebuild through the constructors.
+    assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(g)) is g
+    assert copy.copy(A) is A and TAU.name is None
+
+
+def test_a_node_and_its_table_entry_die_with_its_last_reference():
+    label = ActionLabel("weak_probe")
+    f = PDiamond(PTOP, label, (), ())
+    h = p_embed(f)
+    assert (sort_key(f), canonical_key(f)) and _canon(f) is f
+    nodes = [weakref.ref(f), weakref.ref(h)]
+    entries = [(PDiamond, (PTOP, label, (), ())), (Diamond, (TOP, label, TOP))]
+    assert all(cls._table.get(parts) is node()
+               for (cls, parts), node in zip(entries, nodes))
+    del f, h
+    gc.collect()
+    assert all(node() is None for node in nodes)
+    assert all(parts not in cls._table for cls, parts in entries)
