@@ -5,11 +5,12 @@ All engines share one round-based bottom-up saturation kernel: each round
 evaluates the rule body for every ordered pair against the previous
 round's relation, so round stamps are deterministic and certificate
 extraction is well-founded.  The relation is kept as one bitmask of
-states per state, and a rule evaluates a whole row of pairs at once.
+states per state and per round, and a rule evaluates a row at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .logic import _fold
@@ -26,18 +27,43 @@ class PairNotHeldError(ValueError):
 
 @dataclass(frozen=True)
 class DirectedPairRelation:
-    """A boolean relation over ordered state pairs with per-pair round stamps
-    (the saturation round at which each pair was first derived)."""
+    """A relation over ordered state pairs: ``rows[p]`` is the bitmask of
+    the q with (p, q) held, and ``layers[r][p]`` the mask of those first
+    derived in round r + 1 (the round stamp).  ``holds`` (the pairs),
+    ``rounds`` (pair to stamp) and :meth:`stamps` are computed on demand."""
 
     n_states: int
-    holds: frozenset  # of (p, q)
-    rounds: dict = field(compare=False, hash=False, default_factory=dict)
+    rows: tuple  # of int
+    layers: tuple = field(compare=False)  # of tuples of int
 
     def __contains__(self, pair) -> bool:
-        return pair in self.holds
+        p, q = pair
+        return 0 <= p < self.n_states and 0 <= q and self.rows[p] >> q & 1 == 1
 
-    def symmetric_closure(self) -> frozenset:
-        return self.holds | frozenset((q, p) for p, q in self.holds)
+    def stamps(self, p: int) -> list:
+        """Per state q, the round that first derived (p, q), 0 if none;
+        kept per row p once computed."""
+        memo = self.__dict__.setdefault("_stamps", {})
+        if p not in memo:
+            out = memo[p] = [0] * self.n_states
+            for r, layer in enumerate(self.layers, 1):
+                f = layer[p]
+                while f:
+                    low = f & -f
+                    out[low.bit_length() - 1] = r
+                    f ^= low
+        return memo[p]
+
+    @functools.cached_property
+    def holds(self) -> frozenset:
+        states = range(self.n_states)
+        return frozenset((p, q) for p, row in enumerate(self.rows)
+                         for q in states if row >> q & 1)
+
+    @functools.cached_property
+    def rounds(self) -> dict:
+        return {(p, q): r for p in range(self.n_states)
+                for q, r in enumerate(self.stamps(p)) if r}
 
 
 def _union(x: int, masks) -> int:
@@ -57,23 +83,22 @@ def _saturate(n: int, rule, symmetric: bool) -> DirectedPairRelation:
     (p, q) held, as of the previous round.  ``rule(rows, cols)`` gives, per
     state p, the mask of the q at which the rule body fires for (p, q);
     the pairs that are not yet held (with their transposes, for a
-    symmetric relation) are added and stamped with the round number.
-    One round costs what the rule costs, so a rule that walks the
+    symmetric relation) are added, and the rows' growth is the round's
+    layer.  One round costs what the rule costs, so a rule that walks the
     out-steps of every state and ORs n-bit masks costs
     O(sum_p out(p) * n) word operations.
     """
     full = (1 << n) - 1
     rows = [0] * n
-    cols = [0] * n
-    rounds: dict = {}
-    rnd = 0
+    cols = rows if symmetric else [0] * n  # a symmetric relation is its transpose
+    layers = []
     while True:
-        rnd += 1
-        if rnd > n * n + 1:
+        if len(layers) > n * n:
             raise InternalInvariantError("fixpoint failed to stabilize")
         fresh = [f & full & ~r for f, r in zip(rule(rows, cols), rows)]
         if not any(fresh):
             break
+        before = rows[:]
         for p, f in enumerate(fresh):
             if f >> p & 1:
                 raise InternalInvariantError(
@@ -82,15 +107,10 @@ def _saturate(n: int, rule, symmetric: bool) -> DirectedPairRelation:
             bit = 1 << p
             while f:
                 low = f & -f
-                q = low.bit_length() - 1
+                cols[low.bit_length() - 1] |= bit
                 f ^= low
-                cols[q] |= bit
-                rounds[(p, q)] = rnd
-                if symmetric:
-                    rows[q] |= bit
-                    cols[p] |= low
-                    rounds[(q, p)] = rnd
-    return DirectedPairRelation(n, frozenset(rounds), rounds)
+        layers.append(tuple(r & ~b for r, b in zip(rows, before)))
+    return DirectedPairRelation(n, tuple(rows), tuple(layers))
 
 
 def _out_steps(l: Lts, keep=lambda label: True) -> list:
@@ -321,22 +341,22 @@ def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int) -> Der
         raise PairNotHeldError(f"pair ({p}, {q}) is not in the relation")
     closed = reflexive_closure(l)
     tc = tau_closure(closed)
-    rounds = rel.rounds
+    stamps = rel.stamps
     chosen: dict = {}  # pair -> (witness, [(q1, q2, tag, sub pair)])
 
     def premises(pair) -> list:
         """Choose the witness step and child tags of ``pair``; its
         sub-pairs in child order."""
         p, q = pair
-        bound = rounds[pair]
+        bound = stamps(p)[q]
         for label, p1 in closed.out(p):
             assignment = []
             for q1, q2 in tc.triples(q, label):
-                for tag, sub in ((TAG_LEFT, (p, q1)),
-                                 (TAG_RIGHT_BWD, (q2, p1)),
-                                 (TAG_RIGHT_FWD, (p1, q2))):
-                    if rounds.get(sub, bound) < bound:
-                        assignment.append((q1, q2, tag, sub))
+                for tag, (x, y) in ((TAG_LEFT, (p, q1)),
+                                    (TAG_RIGHT_BWD, (q2, p1)),
+                                    (TAG_RIGHT_FWD, (p1, q2))):
+                    if 0 < stamps(x)[y] < bound:
+                        assignment.append((q1, q2, tag, (x, y)))
                         break
                 else:
                     break
@@ -359,15 +379,9 @@ def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int) -> Der
 def check_tau_extension(l: Lts, rel: DirectedPairRelation) -> list:
     """Violations of the silent-extension theorem: p ->>tau p', q ->>tau q',
     (p', q) held but (p, q') not.  Always empty for a correct engine."""
-    closed = reflexive_closure(l)
-    reach = tau_closure(closed).reach
-    violations = []
-    for p in range(l.n_states):
-        for q in range(l.n_states):
-            for p1 in reach[p]:
-                if (p1, q) not in rel.holds:
-                    continue
-                for q1 in reach[q]:
-                    if (p, q1) not in rel.holds:
-                        violations.append({"p": p, "pPrime": p1, "q": q, "qPrime": q1})
-    return violations
+    reach = tau_closure(reflexive_closure(l)).reach
+    states = range(l.n_states)
+    return [{"p": p, "pPrime": p1, "q": q, "qPrime": q1}
+            for p in states for q in states
+            for p1 in reach[p] if (p1, q) in rel
+            for q1 in reach[q] if (p, q1) not in rel]

@@ -223,7 +223,10 @@ def cmd_random(args) -> int:
         raise CliError(str(exc)) from exc
     text = render_aut(random_lts(params), silent_label=args.tau_label)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -231,6 +234,8 @@ def cmd_random(args) -> int:
 
 def cmd_validate(args) -> int:
     if args.campaign:
+        if args.count < 1:
+            raise CliError("--count must be at least 1")
         params = dict(min_states=args.min_states, max_states=args.max_states,
                       visible_actions=args.actions,
                       visible_density=args.vdensity, tau_density=args.tdensity)

@@ -73,25 +73,6 @@ class VerifyResult:
     direction: str
 
 
-@dataclass(frozen=True)
-class ChainStage:
-    """One stage of the silent-step chain: the per-state positive conjuncts
-    and negative disjuncts selected from the realized formula set."""
-
-    index: int
-    delta_plus: tuple  # of PFormula, canonically sorted
-    delta_minus: tuple  # of PFormula, canonically sorted
-
-
-@dataclass(frozen=True)
-class RightSide:
-    """The right-hand side of the final visible step: positive conjuncts
-    and negated conjuncts."""
-
-    pos: tuple  # of PFormula
-    neg: tuple  # of PFormula
-
-
 def verify_distinguishes(l: Lts, phi: Formula, p: int, q: int) -> VerifyResult:
     """Evaluate ``phi`` on both states (over the silent-step reflexive
     closure) and report which side satisfies it."""
@@ -206,6 +187,11 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
     def holds(r: int, g: PFormula) -> bool:
         return ev.holds(r, p_embed(g))
 
+    def split(formulas: tuple, r: int) -> tuple:
+        """The formulas ``r`` satisfies, and those it does not."""
+        return (tuple(g for g in formulas if holds(r, g)),
+                tuple(g for g in formulas if not holds(r, g)))
+
     def synth(f: Formula, p: int, q: int, depth: int) -> PFormula:
         if depth > guard:
             raise InternalInvariantError("synthesis recursion exceeded formula depth")
@@ -250,24 +236,20 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
             raise InternalInvariantError("no witness for a satisfied diamond")
         p_delta = realize(f.left, depth)
         p_psi = realize(f.right, depth)
-        stages = tuple(
-            ChainStage(i + 1,
-                       tuple(g for g in p_delta if holds(r, g)),
-                       tuple(g for g in p_delta if not holds(r, g)))
-            for i, r in enumerate(w.path))
-        right = RightSide(tuple(g for g in p_psi if holds(w.post, g)),
-                          tuple(g for g in p_psi if not holds(w.post, g)))
+        # Per state of the silent path, its positive conjuncts (delta-plus)
+        # and negative disjuncts (delta-minus) from the realized set.
+        stages = [split(p_delta, r) for r in w.path]
         # Phi_n carries the visible step; each earlier stage wraps it in a
         # silent step constrained by the next stage's disjuncts.
-        phi_i = PDiamond(p_and_all(stages[-1].delta_plus), f.label,
-                         right.pos, right.neg)
+        phi_i = PDiamond(p_and_all(stages[-1][0]), f.label, *split(p_psi, w.post))
         for i in range(len(stages) - 2, -1, -1):
-            phi_i = PDiamond(p_and_all(stages[i].delta_plus), TAU,
-                             (phi_i,), stages[i + 1].delta_minus)
-        delta_minus_1 = p_or_all(stages[0].delta_minus)
+            phi_i = PDiamond(p_and_all(stages[i][0]), TAU,
+                             (phi_i,), stages[i + 1][1])
+        plus_1, minus_1 = stages[0]
+        delta_minus_1 = p_or_all(minus_1)
         if holds(q, delta_minus_1):
             return delta_minus_1
-        delta_plus_1 = p_and_all(stages[0].delta_plus)
+        delta_plus_1 = p_and_all(plus_1)
         if not holds(q, delta_plus_1):
             return delta_plus_1
         return phi_i

@@ -77,12 +77,12 @@ def duality_violations(l: Lts, kind: str, apart=None) -> list:
 def symmetric_closure_violations(l: Lts, branching: bool = True) -> list:
     """The symmetric closure of a directed apartness must equal its
     symmetric counterpart (branching or strong)."""
-    directed, symmetric = (("dbranching", "branching") if branching
-                           else ("dstrong", "strong"))
-    closure = _APART_ENGINES[directed](l).symmetric_closure()
+    names = ("dbranching", "branching") if branching else ("dstrong", "strong")
+    directed, symmetric = (_APART_ENGINES[name](l).holds for name in names)
+    closure = directed | {(q, p) for p, q in directed}
     return [{"branching": branching, "p": p, "q": q,
              "inClosure": (p, q) in closure}
-            for p, q in sorted(closure ^ _APART_ENGINES[symmetric](l).holds)]
+            for p, q in sorted(closure ^ symmetric)]
 
 
 def reflexive_invariance_violations(l: Lts) -> list:
@@ -341,24 +341,19 @@ def _entry(name: str, violations: list) -> PropertyResult:
     return PropertyResult(name, "fail", head)
 
 
-def cross_validate(l: Lts, enumeration_depth="auto",
-                   _corrupt_duality_pair=None) -> ValidationReport:
+def cross_validate(l: Lts, _corrupt_duality_pair=None) -> ValidationReport:
     """Run every property suite on one LTS.
 
-    ``enumeration_depth="auto"`` enables the enumeration-gated suites at
-    depth 2 on LTSs with at most 5 states and skips them otherwise; pass
-    an int to force a depth, or None to skip.  ``_corrupt_duality_pair``
-    toggles one pair in the directed branching apartness fed to the
-    duality check — a harness self-test hook proving failures surface.
+    The enumeration-gated suites run at depth ``ENUM_DEPTH`` on LTSs with
+    at most ``ENUM_STATE_LIMIT`` states and are skipped otherwise.
+    ``_corrupt_duality_pair`` toggles one pair in the directed branching
+    apartness fed to the duality check — a harness self-test hook proving
+    failures surface.
     """
-    if enumeration_depth == "auto":
-        enumeration_depth = ENUM_DEPTH if l.n_states <= ENUM_STATE_LIMIT else None
-
     corrupted = None
     if _corrupt_duality_pair is not None:
-        rel = ap.directed_branching_apartness(l)
-        corrupted = ap.DirectedPairRelation(
-            rel.n_states, rel.holds ^ {tuple(_corrupt_duality_pair)}, rel.rounds)
+        corrupted = (ap.directed_branching_apartness(l).holds
+                     ^ {tuple(_corrupt_duality_pair)})
 
     entries = [
         _entry(f"duality-{kind}", duality_violations(
@@ -381,14 +376,13 @@ def cross_validate(l: Lts, enumeration_depth="auto",
         _entry("synthesis-soundness", synthesis_violations(l)),
         _entry("modality-free-constant", modality_free_violations(l)),
     ]
-    if enumeration_depth is not None:
-        d = enumeration_depth
+    if l.n_states <= ENUM_STATE_LIMIT:
         entries += [
-            _entry("tau-transfer", tau_transfer_violations(l, d)),
-            _entry("simpler-diamond", simpler_diamond_violations(l, d)),
-            _entry("p-embed-agreement", p_embed_agreement_violations(l, d)),
-            _entry("good-formula-soundness", good_formula_violations(l, d)),
-            _entry("logical-characterization", characterization_violations(l, d)),
+            _entry("tau-transfer", tau_transfer_violations(l)),
+            _entry("simpler-diamond", simpler_diamond_violations(l)),
+            _entry("p-embed-agreement", p_embed_agreement_violations(l)),
+            _entry("good-formula-soundness", good_formula_violations(l)),
+            _entry("logical-characterization", characterization_violations(l)),
         ]
     return ValidationReport(tuple(entries))
 

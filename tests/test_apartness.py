@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from bbapart.apartness import (
     PairNotHeldError,
@@ -11,8 +12,10 @@ from bbapart.apartness import (
     strong_apartness,
 )
 from bbapart.lts import Lts, parse_aut, reflexive_closure
+from bbapart.validate import KINDS, check_pair, distinguish_pair
 
-from conftest import s
+from conftest import load_fixture, s
+from test_kernel import ENGINES, ltss
 
 
 def test_strong_fix1(fix1):
@@ -127,3 +130,38 @@ def test_derivation_json_uses_names(fixsr):
 def test_tau_extension_empty(fixsr, fixg2, fixpq):
     for l in (fixsr, fixg2, fixpq):
         assert check_tau_extension(l, directed_branching_apartness(l)) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(ltss())
+def test_the_relation_is_its_rows_split_into_disjoint_round_layers(l):
+    n = l.n_states
+    for engine, _ in ENGINES:
+        rel = engine(l)
+        assert all(((p, q) in rel) == ((p, q) in rel.holds)
+                   for p in range(n) for q in range(n)), engine.__name__
+        derived = [0] * n
+        for layer in rel.layers:
+            assert not any(d & m for d, m in zip(derived, layer)), engine.__name__
+            derived = [d | m for d, m in zip(derived, layer)]
+        assert tuple(derived) == rel.rows, engine.__name__
+
+
+def test_queries_leave_the_per_pair_views_unbuilt():
+    l = load_fixture("fixg2")  # a fresh LTS: no relation computed yet
+    engines = [engine for engine, _ in ENGINES]
+
+    def unbuilt():
+        return all("holds" not in vars(engine(l)) and "rounds" not in vars(engine(l))
+                   for engine in engines)
+    assert unbuilt()
+    apart = 0
+    for p in range(l.n_states):
+        for q in range(l.n_states):
+            for kind in KINDS:
+                check_pair(l, kind, p, q)
+            check_pair(l, "dbranching", p, q, nonreflexive=True)
+            if (p, q) in directed_branching_apartness(l):
+                distinguish_pair(l, p, q)
+                apart += 1
+    assert apart and unbuilt()

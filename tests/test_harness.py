@@ -89,7 +89,7 @@ def test_reflexive_invariance_fails_for_an_engine_that_reads_the_loops(
         if not l.has_reflexive_silent_steps:
             return rel
         return apartness.DirectedPairRelation(
-            rel.n_states, rel.holds ^ {(0, 0)}, rel.rounds)
+            rel.n_states, (rel.rows[0] ^ 1, *rel.rows[1:]), rel.layers)
     monkeypatch.setattr(apartness, "directed_branching_apartness_nonreflexive",
                         loop_sensitive)
     assert not fixsr.has_reflexive_silent_steps
@@ -340,3 +340,17 @@ def test_cli_validate_campaign_options(capsys):
     assert main(["validate", "--campaign", "--min-states", "4",
                  "--max-states", "3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cli_validate_campaign_rejects_a_count_below_one(capsys, count):
+    assert main(["validate", "--campaign", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--count" in captured.err
+
+
+def test_cli_random_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.aut"
+    assert main(["random", "--states", "3", "-o", str(target)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert not target.exists()
