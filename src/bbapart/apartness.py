@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .logic import _fold
-from .lts import Lts, per_lts, reflexive_closure, tau_closure
+from .lts import Lts, _union, per_lts, reflexive_closure, tau_closure
 
 
 class InternalInvariantError(AssertionError):
@@ -66,16 +66,6 @@ class DirectedPairRelation:
                 for q, r in enumerate(self.stamps(p)) if r}
 
 
-def _union(x: int, masks) -> int:
-    """The OR of ``masks[i]`` over the set bits ``i`` of ``x``."""
-    out = 0
-    while x:
-        low = x & -x
-        out |= masks[low.bit_length() - 1]
-        x ^= low
-    return out
-
-
 def _saturate(n: int, rule, symmetric: bool) -> DirectedPairRelation:
     """The least fixpoint of ``rule``, one round at a time, on bitmasks.
 
@@ -115,11 +105,10 @@ def _saturate(n: int, rule, symmetric: bool) -> DirectedPairRelation:
 
 def _out_steps(l: Lts, keep=lambda label: True) -> list:
     """Per state p, its out-steps p -alpha-> p1 with ``keep(alpha)``, as
-    ``(key, p1, targets, preds)``: ``key`` numbers the pair (alpha, p1),
-    and ``targets, preds`` are alpha's :meth:`Lts.pred_masks`."""
+    ``(key, p1, alpha)``: ``key`` numbers the pair (alpha, p1)."""
     n = l.n_states
     index = {label: i for i, label in enumerate(l.actions)}
-    return [[(index[label] * n + p1, p1, *l.pred_masks(label))
+    return [[(index[label] * n + p1, p1, label)
              for label, p1 in l.out(p) if keep(label)]
             for p in range(n)]
 
@@ -137,18 +126,19 @@ def _reaching(back: tuple):
     return reach
 
 
-def _escaping(rows: list, cols: list, directed: bool):
-    """``escape(key, p1, targets, preds)``, for an out-step of
-    :func:`_out_steps`: the states with a step of its label to a state
-    outside p1's row (and, if ``directed``, outside p1's column),
-    memoised per step for one round."""
+def _escaping(l: Lts, rows: list, cols: list, directed: bool):
+    """``escape(key, p1, label)``, for an out-step of :func:`_out_steps`:
+    the states with a step of its label to a state outside p1's row (and,
+    if ``directed``, outside p1's column), memoised per step for one
+    round."""
+    full = (1 << l.n_states) - 1
     memo: dict = {}
 
-    def escape(key: int, p1: int, targets: int, preds: tuple) -> int:
+    def escape(key: int, p1: int, label) -> int:
         b = memo.get(key)
         if b is None:
             held = rows[p1] | cols[p1] if directed else rows[p1]
-            b = memo[key] = _union(targets & ~held, preds)
+            b = memo[key] = l.preimage(label, full & ~held)
         return b
     return escape
 
@@ -167,7 +157,7 @@ def _step_rule(l: Lts, directed: bool, branching: bool):
     out = _out_steps(l)
 
     def rule(rows, cols):
-        escape = _escaping(rows, cols, directed)
+        escape = _escaping(l, rows, cols, directed)
         if branching:
             reach = _reaching(back)
         fire = []
@@ -195,7 +185,7 @@ def _four_rule(l: Lts):
     visible = _out_steps(l, lambda label: not label.silent)
 
     def rule(rows, cols):
-        escape = _escaping(rows, cols, directed=True)
+        escape = _escaping(l, rows, cols, directed=True)
         reach = _reaching(back)
         fire = []
         for p in range(n):

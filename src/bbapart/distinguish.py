@@ -9,6 +9,7 @@ silent-step stages along a diamond witness path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .apartness import (
     TAG_LEFT,
@@ -32,6 +33,7 @@ from .logic import (
     _by_id,
     _canon,
     _children,
+    _compare_keys,
     _fold,
     _p_children,
     diamond_witness,
@@ -85,10 +87,15 @@ def verify_distinguishes(l: Lts, phi: Formula, p: int, q: int) -> VerifyResult:
     return VerifyResult(False, DIRECTION_NONE)
 
 
-def _sorted_dedup(items) -> tuple:
+def _sorted_dedup(items: list) -> tuple:
     """Canonical subterm order with structural duplicates removed."""
+    try:
+        ordered = sorted(items, key=sort_key)
+    except RecursionError:  # keys too deep for the built-in comparison
+        ordered = sorted(items, key=cmp_to_key(
+            lambda f, g: _compare_keys(sort_key(f), sort_key(g))))
     first: dict = {}
-    for g in sorted(items, key=sort_key):
+    for g in ordered:
         first.setdefault(_canon(g), g)
     return tuple(first.values())
 

@@ -40,8 +40,9 @@ class GenParams:
             raise ValueError("n_states must be >= 1")
         if self.visible_actions < 0:
             raise ValueError("visible_actions must be >= 0")
-        if self.visible_density < 0 or self.tau_density < 0:
-            raise ValueError("densities must be >= 0")
+        if not all(math.isfinite(d) and d >= 0
+                   for d in (self.visible_density, self.tau_density)):
+            raise ValueError("densities must be finite and >= 0")
         if self.visible_density > 0 and self.visible_actions == 0:
             raise ValueError("visible transitions need at least one action")
 

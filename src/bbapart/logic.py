@@ -237,6 +237,29 @@ def sort_key(f: PFormula) -> tuple:
     return _cached(f, "_sort_key", _p_children, _make_sort_key)
 
 
+def _compare_keys(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as ``a < b``, ``a == b`` or ``a > b`` for two
+    :func:`sort_key` tuples: tuple comparison by an explicit stack, for
+    keys nested too deep for the interpreter's own.  Identical subtuples,
+    which hash-consed formulas share, compare equal without a walk."""
+    stack = [(a, b, 0)]
+    while stack:
+        x, y, i = stack.pop()
+        while i < len(x) and i < len(y):
+            u, v = x[i], y[i]
+            i += 1
+            if u is v:
+                continue
+            if type(u) is tuple and type(v) is tuple:
+                stack.append((x, y, i))
+                x, y, i = u, v, 0
+            elif u != v:
+                return -1 if u < v else 1
+        if len(x) != len(y):
+            return -1 if len(x) < len(y) else 1
+    return 0
+
+
 def _flat(f: PFormula) -> list:
     """The operands of the And (or Or) chain rooted at ``f``: its nearest
     descendants of another type."""
@@ -380,12 +403,14 @@ class SatEvaluator:
         self._all = (1 << l.n_states) - 1
         self._memo: dict = {}
         # Silent predecessors without the reflexive self-loops, which never
-        # extend a backward search; states with none are absent.
+        # extend a backward search; states with none are absent, and
+        # _tau_entered is the mask of those present.
         self._tau_pred = {}
         for q, srcs in l.predecessors(TAU).items():
             proper = tuple(p for p in srcs if p != q)
             if proper:
                 self._tau_pred[q] = proper
+        self._tau_entered = sum(1 << q for q in self._tau_pred)
 
     @classmethod
     def of(cls, l: Lts) -> "SatEvaluator":
@@ -421,25 +446,23 @@ class SatEvaluator:
 
     def _diamond(self, left: int, label: ActionLabel, right: int) -> int:
         """States of ``left`` with a silent path inside ``left`` to a state
-        with a ``label``-step into ``right``: the label-predecessors of
+        with a ``label``-step into ``right``: the label-preimage of
         ``right`` in ``left``, then one backward BFS along silent steps."""
+        hit = self.lts.preimage(label, right) & left
+        if not hit & self._tau_entered:
+            return hit
         n = self.lts.n_states
         in_left = _flags(left, n)
-        label_pred = self.lts.predecessors(label)
-        found = {p for q in compress(range(n), _flags(right, n))
-                 for p in label_pred.get(q, ()) if in_left[p]}
+        found = bytearray(_flags(hit, n))
         tau_pred = self._tau_pred
-        stack = [p for p in found if p in tau_pred]
+        stack = list(compress(range(n), _flags(hit & self._tau_entered, n)))
         while stack:
             for p in tau_pred[stack.pop()]:
-                if in_left[p] and p not in found:
-                    found.add(p)
+                if in_left[p] and not found[p]:
+                    found[p] = 1
                     if p in tau_pred:
                         stack.append(p)
-        flags = bytearray(n)
-        for p in found:
-            flags[p] = 1
-        return int(flags[::-1].translate(_FLAGS_TO_DIGITS), 2)
+        return int(found[::-1].translate(_FLAGS_TO_DIGITS), 2)
 
     def set(self, g: Formula) -> frozenset:
         return _members(self.mask(g), self.lts.n_states)

@@ -11,7 +11,9 @@ import json
 import re
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import and_, or_, rshift
 from pathlib import Path
 from types import MappingProxyType
 
@@ -92,6 +94,17 @@ class ActionLabel(HashConsed):
 TAU = ActionLabel()
 
 _NO_STEPS = MappingProxyType({})
+_NO_STEP_MASKS = (0, (), (), ())
+
+
+def _union(x: int, masks) -> int:
+    """The OR of ``masks[i]`` over the set bits ``i`` of ``x``."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= masks[low.bit_length() - 1]
+        x ^= low
+    return out
 
 
 def _group(triples) -> dict:
@@ -166,20 +179,39 @@ class Lts:
         return self._pred_index.get(label, _NO_STEPS)
 
     @cached_property
-    def _pred_masks(self) -> dict:
+    def _step_masks(self) -> dict:
+        """Per label, its steps as bitmasks in two forms: the mask of the
+        states entered with, per state, the mask of its predecessors; and
+        the diagonals, per offset d = q - p the shift n + d with the mask
+        of the sources p of a step p -> p + d."""
         masks = {}
         for label, by_target in self._pred_index.items():
             preds = [0] * self.n_states
+            diagonals: dict = {}
             for q, srcs in by_target.items():
                 preds[q] = sum(1 << p for p in srcs)
-            masks[label] = (sum(1 << q for q in by_target), tuple(preds))
+                for p in srcs:
+                    diagonals[q - p] = diagonals.get(q - p, 0) | 1 << p
+            masks[label] = (sum(1 << q for q in by_target), tuple(preds),
+                            tuple(self.n_states + d for d in diagonals),
+                            tuple(diagonals.values()))
         return masks
 
-    def pred_masks(self, label: ActionLabel) -> tuple:
-        """``(targets, preds)``: the bitmask of states entered by a
-        ``label``-step, and per state the bitmask of its
-        ``label``-predecessors (bit ``p`` stands for state ``p``)."""
-        return self._pred_masks.get(label, (0, ()))
+    def preimage(self, label: ActionLabel, x: int) -> int:
+        """The states with a ``label``-step into the bitmask ``x`` (bit
+        ``p`` stands for state ``p``; ``x`` is non-negative).
+
+        Each call takes the cheaper of two unions: the predecessor masks of
+        the targets in ``x``, one per target, or ``x`` shifted along each
+        diagonal and masked by its sources, one per diagonal, in C."""
+        targets, preds, shifts, diagonals = \
+            self._step_masks.get(label, _NO_STEP_MASKS)
+        hit = x & targets
+        if hit.bit_count() <= len(shifts):
+            return _union(hit, preds)
+        # Bit q of hit << n, shifted down by n + d, lands on bit q - d.
+        return reduce(or_, map(and_, map(rshift, repeat(hit << self.n_states),
+                                         shifts), diagonals), 0)
 
     @cached_property
     def has_reflexive_silent_steps(self) -> bool:

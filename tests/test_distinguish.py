@@ -188,3 +188,15 @@ def test_sorted_dedup_takes_constant_time_per_item_on_deep_formulas():
     start = time.perf_counter()
     assert _sorted_dedup([f, g] * 2000) == (min(f, g, key=sort_key),)
     assert time.perf_counter() - start < 1.0
+
+
+def test_sorted_dedup_orders_keys_nested_past_the_recursion_limit():
+    # Two 3,000-deep chains that differ only at the bottom: comparing their
+    # keys as tuples recurses past the default recursion limit.
+    def chain(last):
+        f = DIA(last)
+        for _ in range(2999):
+            f = PDiamond(PTOP, A, (f,), ())
+        return f
+    f, g = chain(A), chain(B)
+    assert _sorted_dedup([g, f, g]) == (f, g)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bbapart
 from bbapart import apartness, bisim
 from bbapart.cli import main
 from bbapart.generate import GenParams, campaign_instances, random_lts
@@ -354,3 +359,24 @@ def test_cli_random_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
     assert main(["random", "--states", "3", "-o", str(target)]) == 2
     assert "cannot write" in capsys.readouterr().err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("command", [["random", "--states", "5"],
+                                     ["validate", "--campaign", "--count", "2"]])
+@pytest.mark.parametrize("density", [["--vdensity", "nan"], ["--tdensity", "inf"],
+                                     ["--vdensity=-inf"]])
+def test_cli_rejects_non_finite_densities(capsys, command, density):
+    assert main(command + density) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    # From a source checkout: the package is importable, not installed.
+    src = str(Path(bbapart.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "bbapart", "parse", str(DATA / "fixsr.aut")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["states"] == load_fixture("fixsr").n_states

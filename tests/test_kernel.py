@@ -9,7 +9,7 @@ certificates read a pair's stamp as the height of its derivation.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbapart import apartness as ap
+from bbapart import apartness as ap, lts as lts_module
 from bbapart.cli import main
 from bbapart.lts import TAU, ActionLabel, Lts, reflexive_closure, tau_closure
 
@@ -132,3 +132,56 @@ def test_kernel_rejects_a_rule_that_fires_on_the_diagonal():
 def test_validate_campaign_200_is_ok(capsys):
     assert main(["validate", "--campaign", "--count", "200"]) == 0
     assert '"ok": true' in capsys.readouterr().out
+
+
+def test_engines_on_long_a_chains():
+    # The closed form of test_kernel_on_a_chains, at a size where a round
+    # that walks every state's escape masks bit by bit would take minutes:
+    # n + 1 is apart from 0 at round n + 1, and n + 2, with n steps left
+    # like 0, is not.
+    n = 256
+    l = Lts(2 * n + 3, frozenset({(i, A, i + 1) for i in range(n)}
+                                 | {(n + 1 + i, A, n + 2 + i) for i in range(n + 1)}))
+    for engine, _ in ENGINES:
+        rel = engine(l)
+        assert (n + 1, 0) in rel and rel.stamps(n + 1)[0] == n + 1, engine.__name__
+        assert (n + 2, 0) not in rel, engine.__name__
+
+
+# ---------------------------------------------------------------------------
+# Label preimages
+
+
+def _preimage_by_definition(l, label, x):
+    return sum(1 << p for p in range(l.n_states)
+               if any(x >> q & 1 for q in l.succ(p, label)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_preimage_matches_its_definition(data):
+    l = data.draw(ltss())
+    full = (1 << l.n_states) - 1
+    x = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full),
+                            st.integers(0, l.n_states - 1).map(lambda p: 1 << p)))
+    for label in (TAU, A, B):
+        assert l.preimage(label, x) == _preimage_by_definition(l, label, x)
+
+
+def test_preimage_takes_each_path(monkeypatch):
+    # a-steps lie on one diagonal (+1) and b-steps on two (-1, +3), so one
+    # target is cheaper as a per-target union and many go by the diagonals.
+    unions = []
+    union = lts_module._union
+    monkeypatch.setattr(lts_module, "_union",
+                        lambda x, masks: unions.append(x) or union(x, masks))
+    n = 8
+    l = Lts(n, frozenset({(i, A, i + 1) for i in range(n - 1)}
+                         | {(i, B, i - 1) for i in range(1, n)} | {(0, B, 3)}))
+    full = (1 << n) - 1
+    for label, x, per_target in ((A, 1 << 5, True), (A, full, False),
+                                 (B, 0b1100, True), (B, full, False),
+                                 (B, 0b1001, True), (B, 0b1011, False)):
+        unions.clear()
+        assert l.preimage(label, x) == _preimage_by_definition(l, label, x)
+        assert bool(unions) == per_target, (label, bin(x))

@@ -20,6 +20,7 @@ from bbapart.logic import (
     PTOP,
     TOP,
     _canon,
+    _compare_keys,
     canonical_key,
     diamond,
     SatEvaluator,
@@ -378,6 +379,10 @@ def test_cached_keys_match_definition(f, g):
     # Keys are cached on the nodes, outside equality, hashing and repr.
     assert f is fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
     assert (sort_key(f) < sort_key(g)) == (_old_sort_key(f) < _old_sort_key(g))
+    # The explicit-stack comparison orders keys as tuple comparison does.
+    assert _compare_keys(sort_key(f), sort_key(g)) == (
+        (sort_key(f) > sort_key(g)) - (sort_key(f) < sort_key(g)))
+    assert _compare_keys(sort_key(f), _old_sort_key(f)) == 0
     assert ((canonical_key(f) == canonical_key(g))
             == (_old_canonical_key(f) == _old_canonical_key(g)))
     # The canonical representative agrees with the canonical key.
