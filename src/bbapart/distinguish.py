@@ -3,7 +3,8 @@
 Two synthesizers produce P-formulas that separate a pair of states: one
 walks a directed-branching-apartness derivation certificate, the other
 transforms an arbitrary distinguishing HMLU formula via a chain of
-silent-step stages along a diamond witness path.
+silent-step stages along a diamond witness path.  Both are one bottom-up
+walk over a DAG (the derivation, or the formula), with no recursion.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from .logic import (
     PAnd,
     POr,
     _by_id,
-    _canon,
     _children,
     _compare_keys,
     _fold,
     _p_children,
+    canonical_key,
     diamond_witness,
     p_and_all,
     p_embed,
@@ -58,9 +59,10 @@ class FormulaTooDeepError(ValueError):
     :data:`MAX_SYNTHESIS_DEPTH`."""
 
 
-# HMLU -> P synthesis recurses once per nesting level of the source formula
-# (up to three Python frames per diamond), so deeper formulas are refused
-# up front instead of reaching the interpreter's recursion limit.
+# HMLU -> P synthesis nests each diamond's realized sides in every stage, so
+# its time and output outgrow the formula: nested `<a>` on an a-chain takes
+# 0.5 s for 0.47 MB at depth 150 and 15 s for 7.3 MB at 600 (Python 3.11,
+# one Xeon core).  Deeper formulas are refused to keep answers small.
 MAX_SYNTHESIS_DEPTH = 200
 
 
@@ -96,7 +98,7 @@ def _sorted_dedup(items: list) -> tuple:
             lambda f, g: _compare_keys(sort_key(f), sort_key(g))))
     first: dict = {}
     for g in ordered:
-        first.setdefault(_canon(g), g)
+        first.setdefault(canonical_key(g), g)
     return tuple(first.values())
 
 
@@ -174,10 +176,10 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
     """Synthesize a P-formula separating p and q from any distinguishing
     HMLU formula.
 
-    Sub-distinguishers for the diamond's left and right sides are realized
-    relative to the LTS at hand: for every (satisfier, non-satisfier) pair
-    a recursive call on the subformula yields one P-formula, deduplicated
-    into the sets that drive the stage chain.  Raises
+    One bottom-up walk over ``phi`` gives each diamond, per state r that
+    satisfies it, three candidates from r's witness path; which one
+    separates r from a state s depends only on whether s satisfies two of
+    them, so whole sets of pairs are answered by mask tests.  Raises
     :class:`NotDistinguishingError` when ``phi`` separates neither
     direction, and :class:`FormulaTooDeepError` when it is nested deeper
     than :data:`MAX_SYNTHESIS_DEPTH`.
@@ -188,80 +190,82 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
             f"formula is nested {guard} deep; synthesis accepts at most "
             f"{MAX_SYNTHESIS_DEPTH}")
     ev = SatEvaluator.of(l)
-    memo: dict = {}
+    # Normalize so that p satisfies phi and q does not.
+    if not ev.holds(p, phi):
+        p, q = q, p
+    if not ev.holds(p, phi) or ev.holds(q, phi):
+        raise NotDistinguishingError(
+            f"formula does not distinguish states {p} and {q}")
+    candidates: dict = {}  # id of a diamond -> one entry per satisfier
     realized: dict = {}
 
-    def holds(r: int, g: PFormula) -> bool:
-        return ev.holds(r, p_embed(g))
+    def mask(g: PFormula) -> int:
+        return ev.mask(p_embed(g))
+
+    def separate(f: Formula, left: int, right: int) -> list:
+        """The formulas separating each state of ``left``, which satisfy
+        ``f``, from each state of ``right``, which do not (with repeats)."""
+        out, seen, stack = [], set(), [(f, left, right)]
+        while stack:
+            g, left, right = item = stack.pop()
+            if not left or not right or item in seen:
+                continue
+            seen.add(item)
+            if isinstance(g, Neg):
+                stack.append((g.child, right, left))
+            elif isinstance(g, And):
+                # A pair is separated by the left conjunct if it can be.
+                m = ev.mask(g.left)
+                stack += [(g.left, left, right & ~m), (g.right, left, right & m)]
+            else:
+                # Each pair (r, s) takes delta-minus if s satisfies it, else
+                # delta-plus if s fails that, else r's stage chain.
+                for r, minus, m_minus, plus, m_plus, chain in candidates[id(g)]:
+                    if left >> r & 1:
+                        if right & m_minus:
+                            out.append(minus)
+                        if right & ~m_minus & ~m_plus:
+                            out.append(plus)
+                        if right & ~m_minus & m_plus:
+                            out.append(chain)
+        return out
+
+    def realize(sub: Formula) -> tuple:
+        if sub not in realized:
+            realized[sub] = _sorted_dedup(
+                separate(sub, ev.mask(sub), ev.mask(Neg(sub))))
+        return realized[sub]
 
     def split(formulas: tuple, r: int) -> tuple:
         """The formulas ``r`` satisfies, and those it does not."""
-        return (tuple(g for g in formulas if holds(r, g)),
-                tuple(g for g in formulas if not holds(r, g)))
+        return (tuple(g for g in formulas if mask(g) >> r & 1),
+                tuple(g for g in formulas if not mask(g) >> r & 1))
 
-    def synth(f: Formula, p: int, q: int, depth: int) -> PFormula:
-        if depth > guard:
-            raise InternalInvariantError("synthesis recursion exceeded formula depth")
-        # Normalize so that p satisfies f and q does not.
-        if not ev.holds(p, f):
-            p, q = q, p
-        if not ev.holds(p, f) or ev.holds(q, f):
-            raise NotDistinguishingError(
-                f"formula does not distinguish states {p} and {q}")
-        key = (f, p, q)
-        if key in memo:
-            return memo[key]
-        if isinstance(f, Neg):
-            result = synth(f.child, q, p, depth + 1)
-        elif isinstance(f, And):
-            conj = f.left if not ev.holds(q, f.left) else f.right
-            result = synth(conj, p, q, depth + 1)
-        elif isinstance(f, Diamond):
-            result = synth_diamond(f, p, q, depth)
-        else:
-            raise InternalInvariantError(f"unexpected distinguishing shape: {f}")
-        memo[key] = result
-        return result
+    def build(f: Formula, _) -> list:
+        if not isinstance(f, Diamond):
+            return []
+        p_delta, p_psi = realize(f.left), realize(f.right)
+        entries = []
+        for r in sorted(ev.set(f)):
+            w = diamond_witness(l, r, f.left, f.label, f.right)
+            if w is None:
+                raise InternalInvariantError("no witness for a satisfied diamond")
+            # Per state of the silent path, its positive conjuncts
+            # (delta-plus) and negative disjuncts (delta-minus).
+            stages = [split(p_delta, s) for s in w.path]
+            # Phi_n carries the visible step; each earlier stage wraps it in
+            # a silent step constrained by the next stage's disjuncts.
+            chain = PDiamond(p_and_all(stages[-1][0]), f.label,
+                             *split(p_psi, w.post))
+            for i in range(len(stages) - 2, -1, -1):
+                chain = PDiamond(p_and_all(stages[i][0]), TAU,
+                                 (chain,), stages[i + 1][1])
+            minus, plus = p_or_all(stages[0][1]), p_and_all(stages[0][0])
+            entries.append((r, minus, mask(minus), plus, mask(plus), chain))
+        return entries
 
-    def realize(sub: Formula, depth: int) -> tuple:
-        """Per-pair distinguishers for a subformula, over all pairs of a
-        satisfying and a non-satisfying state; computed once per
-        subformula."""
-        if sub not in realized:
-            sat = ev.set(sub)
-            out = []
-            for r in sorted(sat):
-                for s in range(l.n_states):
-                    if s not in sat:
-                        out.append(synth(sub, r, s, depth + 1))
-            realized[sub] = _sorted_dedup(out)
-        return realized[sub]
-
-    def synth_diamond(f: Diamond, p: int, q: int, depth: int) -> PFormula:
-        w = diamond_witness(l, p, f.left, f.label, f.right)
-        if w is None:
-            raise InternalInvariantError("no witness for a satisfied diamond")
-        p_delta = realize(f.left, depth)
-        p_psi = realize(f.right, depth)
-        # Per state of the silent path, its positive conjuncts (delta-plus)
-        # and negative disjuncts (delta-minus) from the realized set.
-        stages = [split(p_delta, r) for r in w.path]
-        # Phi_n carries the visible step; each earlier stage wraps it in a
-        # silent step constrained by the next stage's disjuncts.
-        phi_i = PDiamond(p_and_all(stages[-1][0]), f.label, *split(p_psi, w.post))
-        for i in range(len(stages) - 2, -1, -1):
-            phi_i = PDiamond(p_and_all(stages[i][0]), TAU,
-                             (phi_i,), stages[i + 1][1])
-        plus_1, minus_1 = stages[0]
-        delta_minus_1 = p_or_all(minus_1)
-        if holds(q, delta_minus_1):
-            return delta_minus_1
-        delta_plus_1 = p_and_all(plus_1)
-        if not holds(q, delta_plus_1):
-            return delta_plus_1
-        return phi_i
-
-    result = synth(phi, p, q, 0)
+    _fold(phi, _children, build, candidates)
+    result, = separate(phi, 1 << p, 1 << q)
     check = verify_distinguishes(l, p_embed(result), p, q)
     if not check.distinguishes:
         raise InternalInvariantError("synthesized formula fails to distinguish")
@@ -276,7 +280,7 @@ def _silent_stage(f: PFormula) -> bool:
     """``f`` is a silent layer with one continuation of the same delta-plus."""
     return (isinstance(f, PDiamond) and f.label.silent and len(f.pos) == 1
             and isinstance(f.pos[0], PDiamond)
-            and _canon(f.left) is _canon(f.pos[0].left))
+            and canonical_key(f.left) is canonical_key(f.pos[0].left))
 
 
 def _structural_simplify(f: PFormula) -> PFormula:
@@ -285,8 +289,8 @@ def _structural_simplify(f: PFormula) -> PFormula:
     occurs, so the node's users apply it (to a positive conjunct against
     its diamond's negated conjuncts, elsewhere against none)."""
     def collapse(g: PFormula, incoming_neg: tuple) -> PFormula:
-        if _silent_stage(g) and (_by_id(map(_canon, g.neg))
-                                 == _by_id(map(_canon, incoming_neg))):
+        if _silent_stage(g) and (_by_id(map(canonical_key, g.neg))
+                                 == _by_id(map(canonical_key, incoming_neg))):
             return g.pos[0]
         return g
 

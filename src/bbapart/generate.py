@@ -6,7 +6,9 @@ in index order.  For every state it first draws the visible transitions,
 then the silent ones.  A density ``d`` yields ``floor(d)`` draws plus one
 more with probability ``d - floor(d)``; each draw picks a label index with
 ``randrange`` (visible phase only) and then a target with ``randrange``.
-Duplicates collapse because transitions form a set.
+Duplicates collapse because transitions form a set.  A phase stops once
+the state has all its steps of that phase (``visible_actions * n_states``
+visible, ``n_states`` silent), so below those densities no draw is skipped.
 """
 
 from __future__ import annotations
@@ -60,10 +62,16 @@ def random_lts(g: GenParams) -> Lts:
     labels = [ActionLabel(_action_name(i)) for i in range(g.visible_actions)]
     transitions = set()
     for src in range(g.n_states):
+        full = len(transitions) + g.visible_actions * g.n_states
         for _ in range(_draw_count(rng, g.visible_density)):
+            if len(transitions) == full:
+                break
             label = labels[rng.randrange(g.visible_actions)]
             transitions.add((src, label, rng.randrange(g.n_states)))
+        full = len(transitions) + g.n_states
         for _ in range(_draw_count(rng, g.tau_density)):
+            if len(transitions) == full:
+                break
             transitions.add((src, TAU, rng.randrange(g.n_states)))
     return Lts(g.n_states, frozenset(transitions))
 

@@ -279,27 +279,6 @@ def _canon_children(f: PFormula) -> tuple:
     return _p_children(f)
 
 
-def _make_canonical_key(f: PFormula) -> tuple:
-    if isinstance(f, PTop):
-        return (0,)
-    if isinstance(f, PBot):
-        return (1,)
-    if isinstance(f, PDiamond):
-        return (2, f.label.sort_key, f.left._canonical_key,
-                tuple(sorted(g._canonical_key for g in f.pos)),
-                tuple(sorted(g._canonical_key for g in f.neg)))
-    if isinstance(f, (PAnd, POr)):
-        return (3 if isinstance(f, PAnd) else 4,
-                tuple(sorted(g._canonical_key for g in _flat(f))))
-    raise TypeError(f)
-
-
-def canonical_key(f: PFormula) -> tuple:
-    """Structural identity after flattening And/Or chains into sorted lists.
-    Computed once per node and kept on it."""
-    return _cached(f, "_canonical_key", _canon_children, _make_canonical_key)
-
-
 def _by_id(items) -> tuple:
     """Live nodes in one fixed order, so equal multisets give equal tuples."""
     return tuple(sorted(items, key=id))
@@ -307,21 +286,23 @@ def _by_id(items) -> tuple:
 
 def _make_canon(f: PFormula) -> PFormula | None:
     """The canonical representative of ``f`` built from its children's
-    (see :func:`_canon`), or None when that is ``f`` itself."""
+    (see :func:`canonical_key`), or None when that is ``f`` itself."""
     if isinstance(f, PDiamond):
-        rep = PDiamond(_canon(f.left), f.label, _by_id(map(_canon, f.pos)),
-                       _by_id(map(_canon, f.neg)))
+        rep = PDiamond(canonical_key(f.left), f.label,
+                       _by_id(map(canonical_key, f.pos)),
+                       _by_id(map(canonical_key, f.neg)))
     elif isinstance(f, (PAnd, POr)):
-        items = _by_id(map(_canon, _flat(f)))
+        items = _by_id(map(canonical_key, _flat(f)))
         rep = p_and_all(items) if isinstance(f, PAnd) else p_or_all(items)
     else:
         rep = f
     return None if rep is f else rep
 
 
-def _canon(f: PFormula) -> PFormula:
-    """The one node shared by every P-formula with the same
-    :func:`canonical_key`: And/Or chains flattened and operand multisets
+def canonical_key(f: PFormula) -> PFormula:
+    """The one node shared by every P-formula equal to ``f`` up to
+    associativity and commutativity of And/Or and the order of a
+    diamond's conjuncts: And/Or chains flattened and operand multisets
     put in one fixed order, so AC-equal formulas have identical
     representatives and a set of them is keyed in constant time.
     Computed once per node and kept on it (a node that is its own
@@ -602,15 +583,16 @@ def enumerate_pformulas(actions, depth: int) -> list:
         prev = list(level)
         lefts = [f for f in prev if not isinstance(f, PBot)]
         operands = [f for f in prev if isinstance(f, PDiamond)]
-        seen = {_canon(f) for f in level}
+        seen = {canonical_key(f) for f in level}
         for left in lefts:
             for label in labels:
                 for pos in [()] + [(g,) for g in operands]:
                     for neg in [()] + [(g,) for g in operands]:
-                        if pos and neg and _canon(pos[0]) is _canon(neg[0]):
+                        if (pos and neg and canonical_key(pos[0])
+                                is canonical_key(neg[0])):
                             continue
                         f = PDiamond(left, label, pos, neg)
-                        key = _canon(f)
+                        key = canonical_key(f)
                         if key not in seen:
                             seen.add(key)
                             level.append(f)

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bbapart import distinguish
 from bbapart.apartness import directed_branching_apartness, extract_derivation
 from bbapart.distinguish import (
     InvalidDerivationError,
@@ -14,6 +17,7 @@ from bbapart.distinguish import (
     verify_distinguishes,
 )
 from bbapart.logic import (
+    And,
     Diamond,
     Neg,
     PAnd,
@@ -22,15 +26,23 @@ from bbapart.logic import (
     POr,
     PTOP,
     TOP,
+    SatEvaluator,
+    _children,
+    _fold,
     canonical_key,
     diamond,
+    diamond_witness,
     sort_key,
+    p_and_all,
     p_embed,
+    p_or_all,
     parse_formula,
 )
-from bbapart.lts import ActionLabel, TAU, reflexive_closure
+from bbapart.lts import ActionLabel, Lts, TAU, reflexive_closure
+from bbapart.validate import distinguish_pair
 
 from conftest import s
+from test_kernel import ltss
 
 A, B, C, D, E = (ActionLabel(x) for x in "abcde")
 
@@ -200,3 +212,114 @@ def test_sorted_dedup_orders_keys_nested_past_the_recursion_limit():
         return f
     f, g = chain(A), chain(B)
     assert _sorted_dedup([g, f, g]) == (f, g)
+
+
+def per_pair_synthesis(l, phi, p, q):
+    """HMLU -> P synthesis by plain recursion, one call per (satisfier,
+    non-satisfier) pair of every subformula it reaches."""
+    ev = SatEvaluator.of(l)
+
+    def holds(r, g):
+        return ev.holds(r, p_embed(g))
+
+    def split(formulas, r):
+        return (tuple(g for g in formulas if holds(r, g)),
+                tuple(g for g in formulas if not holds(r, g)))
+
+    @functools.cache
+    def realize(sub):
+        sat = ev.set(sub)
+        return _sorted_dedup([synth(sub, r, t) for r in sorted(sat)
+                              for t in range(l.n_states) if t not in sat])
+
+    def synth(f, p, q):
+        if not ev.holds(p, f):
+            p, q = q, p
+        assert ev.holds(p, f) and not ev.holds(q, f)
+        if isinstance(f, Neg):
+            return synth(f.child, q, p)
+        if isinstance(f, And):
+            return synth(f.left if not ev.holds(q, f.left) else f.right, p, q)
+        w = diamond_witness(l, p, f.left, f.label, f.right)
+        p_delta, p_psi = realize(f.left), realize(f.right)
+        stages = [split(p_delta, r) for r in w.path]
+        chain = PDiamond(p_and_all(stages[-1][0]), f.label, *split(p_psi, w.post))
+        for i in range(len(stages) - 2, -1, -1):
+            chain = PDiamond(p_and_all(stages[i][0]), TAU, (chain,), stages[i + 1][1])
+        plus_1, minus_1 = stages[0]
+        if holds(q, p_or_all(minus_1)):
+            return p_or_all(minus_1)
+        if not holds(q, p_and_all(plus_1)):
+            return p_and_all(plus_1)
+        return chain
+
+    return synth(phi, p, q)
+
+
+labels = st.sampled_from([TAU, A, B])
+
+
+@st.composite
+def hmlu(draw, depth=None):
+    """HMLU formulas up to 4 operators deep over tau, a and b, with
+    negations, conjunctions and diamonds whose left side need not be T."""
+    if depth is None:
+        depth = draw(st.integers(1, 4))
+    if depth == 0:
+        return draw(st.just(TOP) | labels.map(lambda a: Diamond(TOP, a, TOP)))
+    kind, sub = draw(st.integers(0, 3)), hmlu(depth - 1)
+    if kind == 0:
+        return Neg(draw(sub))
+    if kind == 1:
+        return And(draw(sub), draw(sub))
+    return Diamond(draw(sub), draw(labels), draw(sub))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ltss(), hmlu())
+def test_pformula_from_hmlu_matches_per_pair_synthesis(l, phi):
+    # Every subformula that separates two states is an input in its own right.
+    ev = SatEvaluator.of(l)
+    subformulas = []
+    _fold(phi, _children, lambda g, _: subformulas.append(g))
+    for f in subformulas:
+        m = ev.mask(f)
+        pairs = [(p, q) for p in range(l.n_states) for q in range(l.n_states)
+                 if (m >> p ^ m >> q) & 1]
+        for p, q in pairs[::max(1, len(pairs) // 4)]:
+            assert pformula_from_hmlu(l, f, p, q) is per_pair_synthesis(l, f, p, q)
+
+
+def test_pformula_from_hmlu_finds_one_witness_per_satisfier(monkeypatch):
+    # <a> x40 on a 40-step a-chain: the k-th diamond from the inside holds
+    # at 41 - k states, so 820 witnesses in all; one synthesis per pair of
+    # states would find 11,441.
+    n = 40
+    l = Lts(n + 1, frozenset((i, A, i + 1) for i in range(n)))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return diamond_witness(*args)
+
+    monkeypatch.setattr(distinguish, "diamond_witness", counting)
+    phi = parse_formula("<a> " * n + "T")
+    out = pformula_from_hmlu(l, phi, 0, 1)
+    assert verify_distinguishes(l, p_embed(out), 0, 1).direction == "leftHolds"
+    assert len(calls) <= n * (n + 1) // 2
+
+
+def test_distinguish_pair_reaches_canonical_key_through_its_module(
+        fixpq, monkeypatch):
+    # A tracer that wraps module bindings counts AC deduplication at
+    # distinguish.canonical_key: it must be called there, not bypassed.
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return canonical_key(f)
+
+    monkeypatch.setattr(distinguish, "canonical_key", counting)
+    for p, q in sorted(directed_branching_apartness(fixpq).holds):
+        distinguish_pair(fixpq, p, q)
+    assert calls

@@ -1,7 +1,9 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -278,6 +280,17 @@ def test_cli_random_deterministic(capsys, tmp_path):
     assert out_file.read_text() == render_aut(random_lts(GenParams(n_states=4, seed=3)))
 
 
+def test_cli_random_stops_drawing_once_every_step_is_drawn(capsys):
+    # 2 states, 2 visible actions: 8 visible steps and 4 silent ones in all;
+    # a density of 1e9 asks for 2e9 draws per state and phase.
+    start = time.perf_counter()
+    code = main(["random", "--states", "2", "--vdensity", "1e9",
+                 "--tdensity", "1e9"])
+    assert code == 0 and time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "des (0,12,2)" and len(set(lines[1:])) == 12
+
+
 def test_cli_validate(capsys):
     code, out = run_cli(capsys, "validate", "--lts", str(DATA / "fixsr.aut"))
     assert code == 0
@@ -336,6 +349,24 @@ def test_cli_convert_deeply_nested(capsys, tmp_path, p, q):
     code = main(["convert", "--lts", str(aut), "--formula", "<a> " * d + "T", p, q])
     assert code in (0, 2)
     capsys.readouterr()
+
+
+def test_cli_convert_deep_formula_within_a_small_stack(capsys, tmp_path):
+    # 200 nested <a>, the deepest formula synthesis accepts, answered with
+    # only 60 frames to spare: no walk may recurse per nesting level.
+    d = 200
+    aut = tmp_path / "chain.aut"
+    aut.write_text(render_aut(Lts(d + 1, frozenset(
+        (i, ActionLabel("a"), i + 1) for i in range(d)))))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        code = main(["convert", "--lts", str(aut), "--formula",
+                     "<a> " * d + "T", "0", "1"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["resultDirection"] == "leftHolds"
 
 
 def test_cli_validate_campaign_options(capsys):
