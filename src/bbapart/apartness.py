@@ -318,14 +318,17 @@ class Derivation:
         return root
 
 
-def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int) -> Derivation:
+def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int,
+                       memo: dict | None = None) -> Derivation:
     """Materialize a derivation for a pair held by
     :func:`directed_branching_apartness`.
 
     Tie-breaks: among valid witness steps the smallest (label, target) in
     lexicographic order (silent label first, visible labels by name); among
     valid child tags, left before rightBwd before rightFwd.  Round stamps
-    decrease strictly from node to child.
+    decrease strictly from node to child.  Pass the same ``memo`` (a dict,
+    from pair to node) to calls on one LTS and relation to share their
+    sub-derivations.
     """
     if (p, q) not in rel:
         raise PairNotHeldError(f"pair ({p}, {q}) is not in the relation")
@@ -363,7 +366,7 @@ def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int) -> Der
             for (q1, q2, tag, _), d in zip(assignment, subs)))
 
     # One node per pair: nodes are keyed by the pair's value.
-    return _fold((p, q), premises, conclude, key=tuple)
+    return _fold((p, q), premises, conclude, memo, key=tuple)
 
 
 def check_tau_extension(l: Lts, rel: DirectedPairRelation) -> list:

@@ -106,7 +106,8 @@ def _sorted_dedup(items: list) -> tuple:
 # Derivation -> P-formula
 
 
-def formula_from_derivation(l: Lts, d: Derivation) -> PFormula:
+def formula_from_derivation(l: Lts, d: Derivation,
+                            memo: dict | None = None) -> PFormula:
     """Turn a directed-branching-apartness derivation for (p, q) into a
     P-formula satisfied by p and not by q.
 
@@ -115,7 +116,10 @@ def formula_from_derivation(l: Lts, d: Derivation) -> PFormula:
     rightFwd-tagged children and its negated conjuncts from the
     rightBwd-tagged ones.  The derivation is re-validated first.  Each
     node of the derivation DAG is validated and synthesised once, so time
-    is linear in the DAG, not in the tree it unfolds to.
+    is linear in the DAG, not in the tree it unfolds to.  Pass the same
+    ``memo`` (a dict, from the identity of a node to its formula) to calls
+    on one LTS to share nodes between derivations; it is valid while
+    those nodes stay alive.
     """
     closed = reflexive_closure(l)
     tc = tau_closure(closed)
@@ -160,7 +164,7 @@ def formula_from_derivation(l: Lts, d: Derivation) -> PFormula:
                         _sorted_dedup(formulas[n_left:n_pos]),
                         _sorted_dedup(formulas[n_pos:]))
 
-    return _fold(d, premises, conclude)
+    return _fold(d, premises, conclude, memo)
 
 
 # ---------------------------------------------------------------------------

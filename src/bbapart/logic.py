@@ -477,19 +477,40 @@ def satisfies(l: Lts, p: int, f: Formula) -> bool:
 
 
 def p_satisfies(l: Lts, p: int, f: PFormula) -> bool:
-    """Direct P-formula evaluator, independent of :func:`p_embed`."""
-    return p in _p_sat(l, f, {})
+    """Direct P-formula evaluator, independent of :func:`p_embed` and of
+    the checker: it reads diamonds forward, from each state along silent
+    steps, where :class:`SatEvaluator` searches backward from the
+    label-preimage."""
+    return bool(_p_sat(l, f, {}) >> p & 1)
 
 
-def _p_sat(l: Lts, f: PFormula, memo: dict) -> frozenset:
-    """Satisfaction set of ``f``; ``memo`` maps the identities of nodes to
-    sets and may be shared between calls on the same LTS while its nodes
-    stay alive."""
-    def build(g: PFormula, sub: list) -> frozenset:
+def _successors(l: Lts, label: ActionLabel) -> tuple:
+    """Per state, the mask of its ``label``-successors."""
+    return tuple(sum(1 << q for q in l.succ(p, label)) for p in range(l.n_states))
+
+
+def _reach_inside(l: Lts, allowed: int) -> tuple:
+    """Per state p, the mask of the states reachable from p along silent
+    paths inside the mask ``allowed`` (0 when p is outside it)."""
+    inside = _members(allowed, l.n_states)
+    return tuple(sum(1 << q for q in constrained_tau_reach(l, p, inside))
+                 for p in range(l.n_states))
+
+
+def _p_sat(l: Lts, f: PFormula, memo: dict) -> int:
+    """Satisfaction mask of ``f`` (bit ``p`` set when state ``p``
+    satisfies it); ``memo`` maps the identities of nodes to masks and may
+    be shared between calls on the same LTS while its nodes stay alive.
+    A diamond holds at p when p's forward silent reach inside the left
+    mask meets the states with a labelled step into the right mask; each
+    reach and successor table is computed once per LTS (:meth:`Lts.memo`)."""
+    full = (1 << l.n_states) - 1
+
+    def build(g: PFormula, sub: list) -> int:
         if isinstance(g, PTop):
-            return frozenset(range(l.n_states))
+            return full
         if isinstance(g, PBot):
-            return frozenset()
+            return 0
         if isinstance(g, PAnd):
             return sub[0] & sub[1]
         if isinstance(g, POr):
@@ -497,16 +518,15 @@ def _p_sat(l: Lts, f: PFormula, memo: dict) -> frozenset:
         if isinstance(g, PDiamond):
             if not l.has_reflexive_silent_steps:
                 raise NonReflexiveLtsError("apply reflexive_closure first")
-            s_left = sub[0]
-            right = frozenset(range(l.n_states))
-            for s_pos in sub[1:1 + len(g.pos)]:
-                right &= s_pos
-            for s_neg in sub[1 + len(g.pos):]:
-                right -= s_neg
-            return frozenset(
-                p for p in range(l.n_states)
-                if any(any(dst in right for dst in l.succ(p1, g.label))
-                       for p1 in constrained_tau_reach(l, p, s_left)))
+            right = full
+            for m in sub[1:1 + len(g.pos)]:
+                right &= m
+            for m in sub[1 + len(g.pos):]:
+                right &= ~m
+            into = sum(1 << p for p, succ in
+                       enumerate(l.memo(_successors, g.label)) if succ & right)
+            return sum(1 << p for p, reach in
+                       enumerate(l.memo(_reach_inside, sub[0])) if reach & into)
         raise TypeError(g)
 
     return _fold(f, _p_children, build, memo)
@@ -572,8 +592,10 @@ def enumerate_pformulas(actions, depth: int) -> list:
     Shape: T and F at depth 0; at depth d, diamonds whose left-hand side is
     any strictly shallower formula other than F, and whose right-hand side
     carries at most one positive and one negative conjunct, both strictly
-    shallower diamonds.  The silent action is always included; duplicates
-    are removed structurally.
+    shallower diamonds, and not the same one.  The silent action is always
+    included.  Every formula of this shape is its own
+    :func:`canonical_key` (a diamond with at most one conjunct per side,
+    built from such formulas), so duplicates are removed by identity.
     """
     if depth > MAX_ENUM_DEPTH:
         raise ValueError(f"enumeration depth limited to {MAX_ENUM_DEPTH}")
@@ -582,19 +604,17 @@ def enumerate_pformulas(actions, depth: int) -> list:
     for _ in range(depth):
         prev = list(level)
         lefts = [f for f in prev if not isinstance(f, PBot)]
-        operands = [f for f in prev if isinstance(f, PDiamond)]
-        seen = {canonical_key(f) for f in level}
+        operands = [()] + [(f,) for f in prev if isinstance(f, PDiamond)]
+        seen = set(level)
         for left in lefts:
             for label in labels:
-                for pos in [()] + [(g,) for g in operands]:
-                    for neg in [()] + [(g,) for g in operands]:
-                        if (pos and neg and canonical_key(pos[0])
-                                is canonical_key(neg[0])):
+                for pos in operands:
+                    for neg in operands:
+                        if pos and pos == neg:
                             continue
                         f = PDiamond(left, label, pos, neg)
-                        key = canonical_key(f)
-                        if key not in seen:
-                            seen.add(key)
+                        if f not in seen:
+                            seen.add(f)
                             level.append(f)
     return sorted(level, key=sort_key)
 

@@ -29,9 +29,10 @@ from .logic import (
     BOT,
     enumerate_pformulas,
     _p_sat,
+    _successors,
     p_embed,
 )
-from .lts import Lts, per_lts, reflexive_closure, tau_closure
+from .lts import TAU, Lts, _union, per_lts, reflexive_closure, tau_closure
 
 ENUM_STATE_LIMIT = 5
 ENUM_DEPTH = 2
@@ -63,6 +64,23 @@ def _pairs(n: int):
     return ((p, q) for p in range(n) for q in range(n))
 
 
+def _bits(mask: int):
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _differences(rows: tuple, others: tuple) -> list:
+    """``(p, q, held)`` per pair in exactly one of two relations, given by
+    their row masks, in (p, q) order; ``held`` tells whether ``rows``
+    holds it."""
+    return [(p, q, bool(row >> q & 1))
+            for p, (row, other) in enumerate(zip(rows, others))
+            for q in _bits(row ^ other)]
+
+
 def duality_violations(l: Lts, kind: str, apart=None) -> list:
     """Pairs where apartness and bisimilarity of the same kind agree
     (they must be exact complements).  ``apart`` replaces the engine's
@@ -78,11 +96,13 @@ def symmetric_closure_violations(l: Lts, branching: bool = True) -> list:
     """The symmetric closure of a directed apartness must equal its
     symmetric counterpart (branching or strong)."""
     names = ("dbranching", "branching") if branching else ("dstrong", "strong")
-    directed, symmetric = (_APART_ENGINES[name](l).holds for name in names)
-    closure = directed | {(q, p) for p, q in directed}
-    return [{"branching": branching, "p": p, "q": q,
-             "inClosure": (p, q) in closure}
-            for p, q in sorted(closure ^ symmetric)]
+    directed, symmetric = (_APART_ENGINES[name](l).rows for name in names)
+    closure = list(directed)
+    for p, row in enumerate(directed):
+        for q in _bits(row):
+            closure[q] |= 1 << p
+    return [{"branching": branching, "p": p, "q": q, "inClosure": held}
+            for p, q, held in _differences(closure, symmetric)]
 
 
 def reflexive_invariance_violations(l: Lts) -> list:
@@ -91,8 +111,8 @@ def reflexive_invariance_violations(l: Lts) -> list:
     given, must compute the same relation on the LTS and on its closure."""
     raw = ap.directed_branching_apartness_nonreflexive(l)
     closed = ap.directed_branching_apartness_nonreflexive(reflexive_closure(l))
-    return [{"p": p, "q": q, "inOriginal": (p, q) in raw}
-            for p, q in sorted(raw.holds ^ closed.holds)]
+    return [{"p": p, "q": q, "inOriginal": held}
+            for p, q, held in _differences(raw.rows, closed.rows)]
 
 
 def nonreflexive_agreement_violations(l: Lts) -> list:
@@ -100,8 +120,8 @@ def nonreflexive_agreement_violations(l: Lts) -> list:
     as the one-rule engine on the closure."""
     apart = ap.directed_branching_apartness(l)
     raw = ap.directed_branching_apartness_nonreflexive(l)
-    return [{"p": p, "q": q, "inClosureEngine": (p, q) in apart}
-            for p, q in sorted(apart.holds ^ raw.holds)]
+    return [{"p": p, "q": q, "inClosureEngine": held}
+            for p, q, held in _differences(apart.rows, raw.rows)]
 
 
 def tau_extension_violations(l: Lts) -> list:
@@ -163,19 +183,24 @@ def synthesis_violations(l: Lts) -> list:
     """Every directed-branching-apart pair must yield, via derivation
     extraction and formula synthesis, a P-formula its left state satisfies
     and its right state does not.  Run once per LTS: the logical
-    characterization reads the same verdicts."""
+    characterization reads the same verdicts.  The pairs share one memo
+    of derivation nodes and one of their formulas, so a sub-derivation
+    common to several pairs is extracted and synthesised once."""
     apart = ap.directed_branching_apartness(l)
     ev = SatEvaluator.of(l)
+    derivations: dict = {}
+    formulas: dict = {}
     out = []
-    for p, q in sorted(apart.holds):
-        try:
-            d = ap.extract_derivation(l, apart, p, q)
-            f = p_embed(formula_from_derivation(l, d))
-        except Exception as exc:  # noqa: BLE001 - reported as a counterexample
-            out.append({"p": p, "q": q, "error": repr(exc)})
-            continue
-        if not (ev.holds(p, f) and not ev.holds(q, f)):
-            out.append({"p": p, "q": q, "formula": repr(f)})
+    for p, row in enumerate(apart.rows):
+        for q in _bits(row):
+            try:
+                d = ap.extract_derivation(l, apart, p, q, memo=derivations)
+                f = p_embed(formula_from_derivation(l, d, memo=formulas))
+            except Exception as exc:  # noqa: BLE001 - reported as a counterexample
+                out.append({"p": p, "q": q, "error": repr(exc)})
+                continue
+            if not (ev.holds(p, f) and not ev.holds(q, f)):
+                out.append({"p": p, "q": q, "formula": repr(f)})
     return out
 
 
@@ -184,10 +209,11 @@ def synthesis_violations(l: Lts) -> list:
 
 
 def _enumeration(l: Lts, depth: int) -> tuple:
-    """``(g, satisfaction set)`` per enumerated P-formula ``g``; ``g``
-    keeps its embedding (see :func:`p_embed`)."""
+    """``(g, satisfaction mask)`` per enumerated P-formula ``g``, the mask
+    from the checker on its embedding (see :func:`p_embed`), which ``g``
+    keeps."""
     ev = SatEvaluator.of(l)
-    return tuple((g, ev.set(p_embed(g)))
+    return tuple((g, ev.mask(p_embed(g)))
                  for g in enumerate_pformulas(l.visible_actions, depth))
 
 
@@ -201,15 +227,13 @@ def tau_transfer_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     steps, negative ones forward; checked on embedded enumerated
     P-formulas and their negations."""
     closed, _, enumeration = _enum_context(l, depth)
-    silent_steps = [(p, p1) for p, label, p1 in closed.transitions if label.silent]
-    out = []
-    for g, sat in enumeration:
-        for p, p1 in silent_steps:
-            # Backward transfer for the positive embedding; the same
-            # configuration also breaks forward transfer of its negation.
-            if p1 in sat and p not in sat:
-                out.append({"formula": repr(g), "p": p, "pPrime": p1})
-    return out
+    silent = closed.memo(_successors, TAU)
+    full = (1 << closed.n_states) - 1
+    # A silent step from outside the satisfying states into them breaks
+    # backward transfer for the positive embedding, and forward transfer
+    # for its negation.
+    return [{"formula": repr(g), "p": p, "pPrime": p1} for g, sat in enumeration
+            for p in _bits(full & ~sat) for p1 in _bits(silent[p] & sat)]
 
 
 def simpler_diamond_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
@@ -217,20 +241,19 @@ def simpler_diamond_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     semantics must coincide with the simpler two-step formulation
     (some silent-reachable delta-state with a step into a psi-state)."""
     closed, ev, enumeration = _enum_context(l, depth)
-    reach = tau_closure(closed).reach
+    back = tau_closure(closed).back
     out = []
     for g, sat in enumeration:
         if not isinstance(g, PDiamond):
             continue
         f = p_embed(g)
-        s_delta, s_right = ev.set(f.left), ev.set(f.right)
-        for p in range(closed.n_states):
-            simpler = any(p1 in s_delta
-                          and any(dst in s_right
-                                  for dst in closed.succ(p1, g.label))
-                          for p1 in reach[p])
-            if simpler != (p in sat):
-                out.append({"formula": repr(g), "p": p, "simpler": simpler})
+        right, succ = ev.mask(f.right), closed.memo(_successors, g.label)
+        # The delta-states with a step into a psi-state, then every state
+        # silently reaching one of them.
+        target = sum(1 << p1 for p1 in _bits(ev.mask(f.left)) if succ[p1] & right)
+        simpler = _union(target, back)
+        out += [{"formula": repr(g), "p": p, "simpler": bool(simpler >> p & 1)}
+                for p in _bits(simpler ^ sat)]
     return out
 
 
@@ -239,13 +262,8 @@ def p_embed_agreement_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     embedding must agree everywhere."""
     closed, _, enumeration = _enum_context(l, depth)
     psat: dict = {}  # the P-evaluator's own memo, shared across formulas
-    out = []
-    for g, sat in enumeration:
-        direct = _p_sat(closed, g, psat)
-        for p in range(closed.n_states):
-            if (p in direct) != (p in sat):
-                out.append({"formula": repr(g), "p": p})
-    return out
+    return [{"formula": repr(g), "p": p} for g, sat in enumeration
+            for p in _bits(_p_sat(closed, g, psat) ^ sat)]
 
 
 def modality_free_violations(l: Lts) -> list:
@@ -266,15 +284,11 @@ def good_formula_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     """A positive good formula separating p from q forces (p, q) into
     directed branching apartness (its negation, a negative good formula,
     forces the same pair from the other side)."""
-    apart = ap.directed_branching_apartness(l)
+    rows = ap.directed_branching_apartness(l).rows
     closed, _, enumeration = _enum_context(l, depth)
-    out = []
-    for g, sat in enumeration:
-        for p in sat:
-            for q in range(closed.n_states):
-                if q not in sat and (p, q) not in apart:
-                    out.append({"formula": repr(g), "p": p, "q": q})
-    return out
+    full = (1 << closed.n_states) - 1
+    return [{"formula": repr(g), "p": p, "q": q} for g, sat in enumeration
+            for p in _bits(sat) for q in _bits(full & ~sat & ~rows[p])]
 
 
 def characterization_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
@@ -285,22 +299,36 @@ def characterization_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     a pair is distinguishable by some bounded formula (either polarity)
     iff it is branching apart, with apart pairs separated by synthesis.
     """
-    apart = ap.directed_branching_apartness(l)
-    branching_apart = ap.branching_apartness(l)
-    sats = [sat for _, sat in l.memo(_enumeration, depth)]
-    unsound = {(v["p"], v["q"]) for v in synthesis_violations(l)}
+    n = l.n_states
+    full = (1 << n) - 1
+    apart = ap.directed_branching_apartness(l).rows
+    branching_apart = ap.branching_apartness(l).rows
+    # Per state p, the q satisfying every enumerated formula p satisfies,
+    # and the q some enumerated formula tells apart from p: one fold over
+    # the distinct satisfaction masks.
+    included, separable = [full] * n, [0] * n
+    for sat in {sat for _, sat in l.memo(_enumeration, depth)}:
+        for p in range(n):
+            if sat >> p & 1:
+                included[p] &= sat
+                separable[p] |= full & ~sat
+            else:
+                separable[p] |= sat
+    unsound = [0] * n
+    for v in synthesis_violations(l):
+        unsound[v["p"]] |= 1 << v["q"]
     out = []
-    for p, q in _pairs(l.n_states):
-        included = all(q in s for s in sats if p in s)
-        separable = any((p in s) != (q in s) for s in sats)
-        if not included and (p, q) not in apart:
-            out.append({"p": p, "q": q, "issue": "non-inclusion without apartness"})
-        if (p, q) in unsound:
-            out.append({"p": p, "q": q, "issue": "synthesis fails inclusion witness"})
-        if separable and (p, q) not in branching_apart:
-            out.append({"p": p, "q": q, "issue": "separable but not branching apart"})
-        if p != q and (p, q) not in branching_apart and not included:
-            out.append({"p": p, "q": q, "issue": "bisimilar pair has unequal theories"})
+    for p in range(n):
+        excluded = full & ~included[p]
+        issues = (
+            (excluded & ~apart[p], "non-inclusion without apartness"),
+            (unsound[p], "synthesis fails inclusion witness"),
+            (separable[p] & ~branching_apart[p], "separable but not branching apart"),
+            (excluded & ~branching_apart[p] & ~(1 << p),
+             "bisimilar pair has unequal theories"),
+        )
+        out += [{"p": p, "q": q, "issue": issue}
+                for q in range(n) for mask, issue in issues if mask >> q & 1]
     return out
 
 

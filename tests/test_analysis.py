@@ -7,6 +7,7 @@ import pytest
 from bbapart import apartness as ap
 from bbapart import logic, validate
 from bbapart.generate import GenParams, campaign_instances, random_lts
+from bbapart.lts import reflexive_closure
 
 from conftest import load_fixture
 
@@ -67,3 +68,18 @@ def test_a_corrupted_relation_never_enters_the_memo():
     fresh = ap.directed_branching_apartness(load_fixture("fixsr"))
     assert ap.directed_branching_apartness(l) == fresh
     assert validate.cross_validate(l).ok
+
+
+def test_cross_validate_reads_rows_not_the_pair_views():
+    # Validation reads the kernel's row masks; the per-pair views are left
+    # to tests and the tracer.
+    l = next(l for l in map(random_lts, campaign_instances(56, 1))
+             if l.n_states == 5 and ap.directed_branching_apartness(l).rows[0])
+    assert validate.cross_validate(l).ok
+    engines = [*validate._APART_ENGINES.values(),
+               ap.directed_branching_apartness_nonreflexive]
+    relations = [engine(l) for engine in engines]
+    relations.append(ap.directed_branching_apartness_nonreflexive(
+        reflexive_closure(l)))
+    for rel in relations:
+        assert "holds" not in vars(rel) and "rounds" not in vars(rel)

@@ -7,6 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbapart import logic
 from bbapart.logic import (
     And,
     BOT,
@@ -20,6 +21,7 @@ from bbapart.logic import (
     PTOP,
     TOP,
     _compare_keys,
+    _p_sat,
     canonical_key,
     diamond,
     SatEvaluator,
@@ -189,6 +191,50 @@ def test_enumerate_depth2_contains_example():
 def test_enumerate_depth_cap():
     with pytest.raises(ValueError):
         enumerate_pformulas({A}, 4)
+
+
+def _reference_enumeration(actions, depth: int) -> list:
+    """The enumeration with duplicates removed by canonical key."""
+    labels = sorted(set(actions) | {TAU}, key=lambda a: a.sort_key)
+    level = [PTOP, PBOT]
+    for _ in range(depth):
+        prev = list(level)
+        lefts = [f for f in prev if f is not PBOT]
+        operands = [f for f in prev if isinstance(f, PDiamond)]
+        seen = {canonical_key(f) for f in level}
+        for left in lefts:
+            for label in labels:
+                for pos in [()] + [(g,) for g in operands]:
+                    for neg in [()] + [(g,) for g in operands]:
+                        if (pos and neg and canonical_key(pos[0])
+                                is canonical_key(neg[0])):
+                            continue
+                        f = PDiamond(left, label, pos, neg)
+                        if canonical_key(f) not in seen:
+                            seen.add(canonical_key(f))
+                            level.append(f)
+    return sorted(level, key=sort_key)
+
+
+@pytest.mark.parametrize("actions, sizes", [
+    ({A}, (2, 4, 44)),
+    ({A, B}, (2, 5, 158)),
+])
+def test_enumeration_sizes(actions, sizes):
+    assert tuple(len(enumerate_pformulas(actions, d)) for d in range(3)) == sizes
+
+
+# Depth 3 over two or three actions tries 11 million and 300 million
+# diamonds: out of reach of a test.
+@pytest.mark.parametrize("actions, depth", [
+    (frozenset("abc"[:k]), d) for k in range(4) for d in range(3)
+] + [(frozenset(), 3), (frozenset("a"), 3)])
+def test_enumeration_is_its_own_canonical_form(actions, depth):
+    actions = {ActionLabel(a) for a in actions}
+    out = enumerate_pformulas(actions, depth)
+    assert all(canonical_key(f) is f for f in out)
+    assert len(set(map(canonical_key, out))) == len(out)
+    assert out == _reference_enumeration(actions, depth)
 
 
 def test_p_satisfies_matches_embedding(fixpq):
@@ -410,6 +456,53 @@ def test_p_satisfies_is_linear_in_depth():
     start = time.perf_counter()
     assert p_satisfies(closed, 0, f) and not p_satisfies(closed, 1, f)
     assert time.perf_counter() - start < 1.0
+
+
+def _reference_p_sat(l, f) -> frozenset:
+    """The P semantics read directly, on sets: a diamond holds at p when
+    some state silently reachable from p inside the left set has a
+    labelled step into every positive conjunct and no negated one."""
+    states = frozenset(range(l.n_states))
+    if f is PTOP or f is PBOT:
+        return states if f is PTOP else frozenset()
+    if isinstance(f, (PAnd, POr)):
+        left, right = _reference_p_sat(l, f.left), _reference_p_sat(l, f.right)
+        return left & right if isinstance(f, PAnd) else left | right
+    right = states
+    for g in f.pos:
+        right &= _reference_p_sat(l, g)
+    for g in f.neg:
+        right -= _reference_p_sat(l, g)
+    left = _reference_p_sat(l, f.left)
+    return frozenset(
+        p for p in states
+        if any(dst in right for p1 in constrained_tau_reach(l, p, left)
+               for dst in l.succ(p1, f.label)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6), pformulas)
+def test_p_satisfies_matches_reference_semantics(seed, n, f):
+    l = reflexive_closure(random_lts(GenParams(n_states=n, seed=seed)))
+    expected = _reference_p_sat(l, f)
+    assert all(p_satisfies(l, p, f) == (p in expected) for p in range(n))
+
+
+def test_p_satisfies_is_independent_of_the_checker(monkeypatch):
+    # A fresh LTS, so that no table the evaluator keeps on it is built yet.
+    closed = reflexive_closure(load_fixture("fixpq"))
+    formulas = enumerate_pformulas(closed.visible_actions, 2)
+    expected = [_reference_p_sat(closed, g) for g in formulas]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the P-evaluator reached the checker")
+    monkeypatch.setattr(Lts, "preimage", refuse)
+    monkeypatch.setattr(logic, "SatEvaluator", refuse)
+    monkeypatch.setattr(SatEvaluator, "__init__", refuse)
+    monkeypatch.setattr(SatEvaluator, "mask", refuse)
+    memo: dict = {}
+    for g, sat in zip(formulas, expected):
+        assert _p_sat(closed, g, memo) == sum(1 << p for p in sat)
 
 
 def _rebuild_hmlu(f):
