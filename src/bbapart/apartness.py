@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .logic import _fold
-from .lts import Lts, _union, per_lts, reflexive_closure, tau_closure
+from .lts import Lts, _bits, _union, per_lts, reflexive_closure, tau_closure
 
 
 class InternalInvariantError(AssertionError):
@@ -47,11 +47,8 @@ class DirectedPairRelation:
         if p not in memo:
             out = memo[p] = [0] * self.n_states
             for r, layer in enumerate(self.layers, 1):
-                f = layer[p]
-                while f:
-                    low = f & -f
-                    out[low.bit_length() - 1] = r
-                    f ^= low
+                for q in _bits(layer[p]):
+                    out[q] = r
         return memo[p]
 
     @functools.cached_property
@@ -94,11 +91,8 @@ def _saturate(n: int, rule, symmetric: bool) -> DirectedPairRelation:
                 raise InternalInvariantError(
                     f"rule fired on the diagonal pair ({p}, {p})")
             rows[p] |= f
-            bit = 1 << p
-            while f:
-                low = f & -f
-                cols[low.bit_length() - 1] |= bit
-                f ^= low
+            for q in _bits(f):
+                cols[q] |= 1 << p
         layers.append(tuple(r & ~b for r, b in zip(rows, before)))
     return DirectedPairRelation(n, tuple(rows), tuple(layers))
 

@@ -29,7 +29,6 @@ from .logic import (
     diamond_witness,
     format_formula,
     format_pformula,
-    formula_to_json,
     p_embed,
     parse_formula,
     pformula_to_json,
@@ -252,99 +251,104 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser; given ``argv``, only the subcommands it names
+    get their arguments.  It answers ``argv`` as the full parser does: no
+    other subparser runs, and the top level shows only names and help."""
     parser = argparse.ArgumentParser(
         prog="bbapart",
         description="Apartness, bisimilarity, model checking, and "
                     "distinguishing-formula synthesis on finite LTSs.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("parse", help="parse an .aut file and print stats")
-    sub.add_argument("file")
-    sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
-    sub.add_argument("--names", default=None)
-    sub.set_defaults(func=cmd_parse)
+    def add(name, func, help):
+        """The subparser of ``name``, or None if it needs no arguments."""
+        sub = subs.add_parser(name, help=help)
+        sub.set_defaults(func=func)
+        return sub if argv is None or name in argv else None
 
-    sub = subs.add_parser("check", help="apartness/bisimilarity of a state pair")
-    _add_lts_options(sub)
-    sub.add_argument("--kind", required=True,
-                     choices=["strong", "dstrong", "branching", "dbranching"])
-    sub.add_argument("--nonreflexive", action="store_true",
-                     help="use the four-rule engine on the raw LTS (dbranching)")
-    sub.add_argument("p")
-    sub.add_argument("q")
-    sub.set_defaults(func=cmd_check)
+    sub = add("parse", cmd_parse, "parse an .aut file and print stats")
+    if sub is not None:
+        sub.add_argument("file")
+        sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
+        sub.add_argument("--names", default=None)
 
-    sub = subs.add_parser("distinguish",
-                          help="synthesize a distinguishing P-formula")
-    _add_lts_options(sub)
-    sub.add_argument("--simplify", action="store_true")
-    sub.add_argument("p")
-    sub.add_argument("q")
-    sub.set_defaults(func=cmd_distinguish)
+    sub = add("check", cmd_check, "apartness/bisimilarity of a state pair")
+    if sub is not None:
+        _add_lts_options(sub)
+        sub.add_argument("--kind", required=True,
+                         choices=["strong", "dstrong", "branching", "dbranching"])
+        sub.add_argument("--nonreflexive", action="store_true",
+                         help="use the four-rule engine on the raw LTS (dbranching)")
+        sub.add_argument("p")
+        sub.add_argument("q")
 
-    sub = subs.add_parser("mc", help="model-check a formula at a state")
-    _add_lts_options(sub)
-    sub.add_argument("--state", required=True)
-    sub.add_argument("--formula", required=True)
-    sub.set_defaults(func=cmd_mc)
+    sub = add("distinguish", cmd_distinguish,
+              "synthesize a distinguishing P-formula")
+    if sub is not None:
+        _add_lts_options(sub)
+        sub.add_argument("--simplify", action="store_true")
+        sub.add_argument("p")
+        sub.add_argument("q")
 
-    sub = subs.add_parser("convert",
-                          help="turn a distinguishing formula into a P-formula")
-    _add_lts_options(sub)
-    sub.add_argument("--formula", required=True)
-    sub.add_argument("--simplify", action="store_true")
-    sub.add_argument("p")
-    sub.add_argument("q")
-    sub.set_defaults(func=cmd_convert)
+    sub = add("mc", cmd_mc, "model-check a formula at a state")
+    if sub is not None:
+        _add_lts_options(sub)
+        sub.add_argument("--state", required=True)
+        sub.add_argument("--formula", required=True)
 
-    sub = subs.add_parser("random", help="generate a seeded random LTS")
-    sub.add_argument("--states", type=int, required=True)
-    sub.add_argument("--actions", type=int, default=2)
-    sub.add_argument("--vdensity", type=float, default=1.5)
-    sub.add_argument("--tdensity", type=float, default=0.7)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
-    sub.add_argument("-o", "--output", default=None)
-    sub.set_defaults(func=cmd_random)
+    sub = add("convert", cmd_convert,
+              "turn a distinguishing formula into a P-formula")
+    if sub is not None:
+        _add_lts_options(sub)
+        sub.add_argument("--formula", required=True)
+        sub.add_argument("--simplify", action="store_true")
+        sub.add_argument("p")
+        sub.add_argument("q")
 
-    sub = subs.add_parser("validate", help="run the cross-validation suites")
-    sub.add_argument("--lts", default=None)
-    sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
-    sub.add_argument("--names", default=None)
-    sub.add_argument("--campaign", action="store_true")
-    sub.add_argument("--count", type=int, default=200)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--min-states", type=int, default=2,
-                     help="campaign: smallest LTS (sizes cycle up to --max-states)")
-    sub.add_argument("--max-states", type=int, default=8)
-    sub.add_argument("--actions", type=int, default=2,
-                     help="campaign: visible actions per LTS")
-    sub.add_argument("--vdensity", type=float, default=1.5)
-    sub.add_argument("--tdensity", type=float, default=0.7)
-    sub.set_defaults(func=cmd_validate)
+    sub = add("random", cmd_random, "generate a seeded random LTS")
+    if sub is not None:
+        sub.add_argument("--states", type=int, required=True)
+        sub.add_argument("--actions", type=int, default=2)
+        sub.add_argument("--vdensity", type=float, default=1.5)
+        sub.add_argument("--tdensity", type=float, default=0.7)
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
+        sub.add_argument("-o", "--output", default=None)
+
+    sub = add("validate", cmd_validate, "run the cross-validation suites")
+    if sub is not None:
+        sub.add_argument("--lts", default=None)
+        sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
+        sub.add_argument("--names", default=None)
+        sub.add_argument("--campaign", action="store_true")
+        sub.add_argument("--count", type=int, default=200)
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--min-states", type=int, default=2,
+                         help="campaign: smallest LTS (sizes cycle up to --max-states)")
+        sub.add_argument("--max-states", type=int, default=8)
+        sub.add_argument("--actions", type=int, default=2,
+                         help="campaign: visible actions per LTS")
+        sub.add_argument("--vdensity", type=float, default=1.5)
+        sub.add_argument("--tdensity", type=float, default=0.7)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NotDistinguishingError, FormulaTooDeepError) as exc:
+    except (CliError, NotDistinguishingError, FormulaTooDeepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -89,6 +89,14 @@ def verify_distinguishes(l: Lts, phi: Formula, p: int, q: int) -> VerifyResult:
     return VerifyResult(False, DIRECTION_NONE)
 
 
+def _dedup(items) -> tuple:
+    """``items`` in order, less each one AC-equal to an earlier one."""
+    first: dict = {}
+    for g in items:
+        first.setdefault(canonical_key(g), g)
+    return tuple(first.values())
+
+
 def _sorted_dedup(items: list) -> tuple:
     """Canonical subterm order with structural duplicates removed."""
     try:
@@ -96,10 +104,7 @@ def _sorted_dedup(items: list) -> tuple:
     except RecursionError:  # keys too deep for the built-in comparison
         ordered = sorted(items, key=cmp_to_key(
             lambda f, g: _compare_keys(sort_key(f), sort_key(g))))
-    first: dict = {}
-    for g in ordered:
-        first.setdefault(canonical_key(g), g)
-    return tuple(first.values())
+    return _dedup(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +324,19 @@ def _structural_simplify(f: PFormula) -> PFormula:
     return collapse(_fold(f, _p_children, build), ())
 
 
-def _semantic_collapse(l: Lts, f: PFormula) -> PFormula:
-    ev = SatEvaluator.of(l)
+def simplify(f: PFormula, l: Lts | None = None) -> PFormula:
+    """Drop unit conjuncts/disjuncts, repeated conjuncts and redundant
+    silent-step layers.
+
+    The structural pass runs first, over the whole formula.  A second fold
+    then keeps each diamond's conjuncts once (the structural collapse can
+    map distinct ones to one node) and, when an LTS is supplied, collapses
+    the silent layers whose removal keeps the satisfaction set on it
+    (checked by re-evaluation).  The two do not merge into one fold: the
+    structural collapse compares negated conjuncts as multisets, so it
+    would then fire on some deduplicated ones where it does not now.
+    """
+    ev = None if l is None else SatEvaluator.of(l)
 
     def build(g: PFormula, sub: list) -> PFormula:
         if isinstance(g, (PTop, PBot)):
@@ -328,25 +344,11 @@ def _semantic_collapse(l: Lts, f: PFormula) -> PFormula:
         if isinstance(g, (PAnd, POr)):
             return type(g)(*sub)
         n_pos = len(g.pos)
-        out = PDiamond(sub[0], g.label, tuple(sub[1:1 + n_pos]),
-                       tuple(sub[1 + n_pos:]))
-        while (_silent_stage(out)
+        out = PDiamond(sub[0], g.label, _dedup(sub[1:1 + n_pos]),
+                       _dedup(sub[1 + n_pos:]))
+        while (ev is not None and _silent_stage(out)
                and ev.mask(p_embed(out)) == ev.mask(p_embed(out.pos[0]))):
             out = out.pos[0]
         return out
 
-    return _fold(f, _p_children, build)
-
-
-def simplify(f: PFormula, l: Lts | None = None) -> PFormula:
-    """Drop unit conjuncts/disjuncts and redundant silent-step layers.
-
-    Purely structural by default; when an LTS is supplied, additionally
-    collapses silent layers whose removal is satisfaction-equivalent on
-    that LTS (checked by re-evaluation).  Each pass visits each node of
-    the formula DAG once.
-    """
-    out = _structural_simplify(f)
-    if l is not None:
-        out = _semantic_collapse(l, out)
-    return out
+    return _fold(_structural_simplify(f), _p_children, build)

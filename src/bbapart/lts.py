@@ -97,6 +97,14 @@ _NO_STEPS = MappingProxyType({})
 _NO_STEP_MASKS = (0, (), (), ())
 
 
+def _bits(mask: int):
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _union(x: int, masks) -> int:
     """The OR of ``masks[i]`` over the set bits ``i`` of ``x``."""
     out = 0
@@ -365,26 +373,20 @@ class TauClosure:
 @per_lts
 def tau_closure(l: Lts) -> TauClosure:
     """Silent reachability of ``l``, computed once per LTS."""
-    reach = []
-    for p in range(l.n_states):
-        seen = {p}
-        frontier = [p]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in l.succ(cur, TAU):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reach.append(frozenset(seen))
-    return TauClosure(l, tuple(reach))
+    states = range(l.n_states)
+    every = frozenset(states)
+    return TauClosure(l, tuple(_tau_reach(l, p, every) for p in states))
 
 
 def constrained_tau_reach(l: Lts, p: int, allowed) -> frozenset:
     """States reachable from ``p`` along tau-paths lying entirely inside
     ``allowed`` (both endpoints included).  Empty if ``p`` is not allowed."""
     allowed = frozenset(allowed)
-    if p not in allowed:
-        return frozenset()
+    return _tau_reach(l, p, allowed) if p in allowed else frozenset()
+
+
+def _tau_reach(l: Lts, p: int, allowed: frozenset) -> frozenset:
+    """:func:`constrained_tau_reach` for an allowed ``p``."""
     seen = {p}
     frontier = [p]
     while frontier:

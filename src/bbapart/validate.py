@@ -32,7 +32,7 @@ from .logic import (
     _successors,
     p_embed,
 )
-from .lts import TAU, Lts, _union, per_lts, reflexive_closure, tau_closure
+from .lts import TAU, Lts, _bits, _union, per_lts, reflexive_closure, tau_closure
 
 ENUM_STATE_LIMIT = 5
 ENUM_DEPTH = 2
@@ -62,14 +62,6 @@ class NotApartError(ValueError):
 
 def _pairs(n: int):
     return ((p, q) for p in range(n) for q in range(n))
-
-
-def _bits(mask: int):
-    """The set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _differences(rows: tuple, others: tuple) -> list:

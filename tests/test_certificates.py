@@ -20,7 +20,7 @@ from bbapart.apartness import (
     extract_derivation,
 )
 from bbapart.cli import main
-from bbapart.distinguish import formula_from_derivation
+from bbapart.distinguish import formula_from_derivation, simplify, verify_distinguishes
 from bbapart.generate import GenParams, random_lts
 from bbapart.logic import (
     PAnd,
@@ -28,8 +28,11 @@ from bbapart.logic import (
     PDiamond,
     POr,
     PTop,
+    _fold,
+    _p_children,
     canonical_key,
     p_and_all,
+    p_embed,
     p_satisfies,
     sort_key,
 )
@@ -190,6 +193,25 @@ def test_formula_from_derivation_tau_chain_k12():
     l = tau_chains(k)
     rel = directed_branching_apartness(l)
     f = formula_from_derivation(l, extract_derivation(l, rel, k, 0))
+    closed = reflexive_closure(l)
+    assert p_satisfies(closed, k, f) and not p_satisfies(closed, 0, f)
+
+
+def test_simplify_keeps_each_conjunct_of_a_diamond_once():
+    # Distinct negated conjuncts of this pair's formula collapse to one
+    # node (~<a> T); the simplified diamonds keep it once.
+    k = 4
+    l = tau_chains(k)
+    rel = directed_branching_apartness(l)
+    f = simplify(formula_from_derivation(l, extract_derivation(l, rel, k, 0)), l)
+    diamonds = []
+    _fold(f, _p_children, lambda g, _: diamonds.append(g))
+    diamonds = [g for g in diamonds if isinstance(g, PDiamond)]
+    assert any(g.neg for g in diamonds)
+    for g in diamonds:
+        for side in (g.pos, g.neg):
+            assert len({canonical_key(h) for h in side}) == len(side), g
+    assert verify_distinguishes(l, p_embed(f), k, 0).direction == "leftHolds"
     closed = reflexive_closure(l)
     assert p_satisfies(closed, k, f) and not p_satisfies(closed, 0, f)
 

@@ -29,6 +29,7 @@ from bbapart.logic import (
     SatEvaluator,
     _children,
     _fold,
+    _p_children,
     canonical_key,
     diamond,
     diamond_witness,
@@ -323,3 +324,47 @@ def test_distinguish_pair_reaches_canonical_key_through_its_module(
     for p, q in sorted(directed_branching_apartness(fixpq).holds):
         distinguish_pair(fixpq, p, q)
     assert calls
+
+
+@functools.cache
+def pformulas(depth: int):
+    """P-formulas ``depth`` levels deep over tau, a and b, rich in what
+    ``simplify`` removes: unit conjuncts, and silent stages inside a
+    diamond whose negated conjuncts they may or may not repeat.  One
+    strategy per depth, so that hypothesis builds each only once."""
+    if depth == 0:
+        return st.sampled_from([PTOP, PBOT]) | labels.map(DIA)
+    sub = pformulas(depth - 1)
+    one, two = (st.lists(sub, max_size=k).map(tuple) for k in (1, 2))
+    kinds, junctions = st.integers(0, 4), st.sampled_from([PAnd, POr])
+
+    @st.composite
+    def formulas(draw):
+        kind = draw(kinds)
+        if kind == 0:
+            return draw(junctions)(draw(sub), draw(sub))
+        if kind == 1:
+            return PDiamond(draw(sub), draw(labels), draw(two), draw(two))
+        left, neg = draw(sub), draw(two)
+        inner = PDiamond(left, draw(labels), draw(one), draw(one))
+        stage = PDiamond(left, TAU, (inner,),
+                         neg if draw(st.booleans()) else draw(two))
+        if kind == 2:
+            return stage
+        return PDiamond(draw(sub), draw(labels), (stage, *draw(one)), neg)
+
+    return formulas()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ltss(), st.integers(1, 3).flatmap(pformulas))
+def test_simplify_keeps_satisfaction_and_each_conjunct_once(l, f):
+    ev = SatEvaluator.of(l)
+    for slim in (simplify(f), simplify(f, l)):
+        assert ev.mask(p_embed(slim)) == ev.mask(p_embed(f))
+        nodes = []
+        _fold(slim, _p_children, lambda g, _: nodes.append(g))
+        for g in nodes:
+            if isinstance(g, PDiamond):
+                for side in (g.pos, g.neg):
+                    assert len({canonical_key(h) for h in side}) == len(side)
