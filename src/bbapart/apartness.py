@@ -91,76 +91,67 @@ def _saturate(n: int, rule, symmetric: bool) -> DirectedPairRelation:
                 raise InternalInvariantError(
                     f"rule fired on the diagonal pair ({p}, {p})")
             rows[p] |= f
-            for q in _bits(f):
-                cols[q] |= 1 << p
+            bit = 1 << p
+            while f:
+                low = f & -f
+                cols[low.bit_length() - 1] |= bit
+                f ^= low
         layers.append(tuple(r & ~b for r, b in zip(rows, before)))
     return DirectedPairRelation(n, tuple(rows), tuple(layers))
 
 
-def _out_steps(l: Lts, keep=lambda label: True) -> list:
-    """Per state p, its out-steps p -alpha-> p1 with ``keep(alpha)``, as
-    ``(key, p1, alpha)``: ``key`` numbers the pair (alpha, p1)."""
-    n = l.n_states
-    index = {label: i for i, label in enumerate(l.actions)}
-    return [[(index[label] * n + p1, p1, label)
-             for label, p1 in l.out(p) if keep(label)]
-            for p in range(n)]
+class _Memo(dict):
+    """``memo[key]``: ``compute(key)``, computed once per key."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
-def _reaching(back: tuple):
-    """``reach(x)``: the states with a silent path into a state of the
-    bitmask ``x`` (``back`` is :attr:`TauClosure.back`), memoised per ``x``."""
-    memo: dict = {}
-
-    def reach(x: int) -> int:
-        r = memo.get(x)
-        if r is None:
-            r = memo[x] = _union(x, back)
-        return r
-    return reach
+def _reaching(back: tuple) -> _Memo:
+    """``reach[x]``: the states with a silent path into a state of the
+    bitmask ``x`` (``back`` is :attr:`TauClosure.back`), kept for one
+    fixpoint.  Only the states of ``x`` that are ``entered``, by a silent
+    step from another state, add more than themselves; without them, ``x``
+    is its own reach."""
+    entered = sum(1 << q for q, b in enumerate(back) if b != 1 << q)
+    return _Memo(lambda x: x | _union(x & entered, back) if x & entered else x)
 
 
-def _escaping(l: Lts, rows: list, cols: list, directed: bool):
-    """``escape(key, p1, label)``, for an out-step of :func:`_out_steps`:
-    the states with a step of its label to a state outside p1's row (and,
-    if ``directed``, outside p1's column), memoised per step for one
-    round."""
+def _escaping(l: Lts) -> _Memo:
+    """``escape[label, held]``: the states with a step of ``label`` to a
+    state outside the bitmask ``held``, kept for one fixpoint, so steps
+    whose targets hold the same mask share an entry, in every round."""
     full = (1 << l.n_states) - 1
-    memo: dict = {}
-
-    def escape(key: int, p1: int, label) -> int:
-        b = memo.get(key)
-        if b is None:
-            held = rows[p1] | cols[p1] if directed else rows[p1]
-            b = memo[key] = l.preimage(label, full & ~held)
-        return b
-    return escape
+    return _Memo(lambda key: l.preimage(key[0], full & ~key[1]))
 
 
-def _step_rule(l: Lts, directed: bool, branching: bool):
+def _step_rule(l: Lts, branching: bool):
     """The one-rule systems.  A step p -alpha-> p1 fires (p, q) unless it is
     blocked: some q1 reachable from q (by silent steps for the branching
     kinds, q1 = q for the strong ones) has an alpha-step to a q2 with
-    (p1, q2) not held, nor (q2, p1) for the directed kinds, and for the
-    branching kinds (p, q1) is not held either.  The branching kinds run on
-    the silent-step reflexive closure."""
+    (p1, q2) not held, nor (q2, p1) (the same pair for the symmetric kinds,
+    whose ``cols`` are their ``rows``), and for the branching kinds (p, q1)
+    is not held either.  The branching kinds run on the silent-step
+    reflexive closure."""
     if branching:
         l = reflexive_closure(l)
-        back = tau_closure(l).back
+        reach = _reaching(tau_closure(l).back)
     n = l.n_states
-    out = _out_steps(l)
+    escape = _escaping(l)
 
     def rule(rows, cols):
-        escape = _escaping(l, rows, cols, directed)
-        if branching:
-            reach = _reaching(back)
+        held = [r | c for r, c in zip(rows, cols)]
         fire = []
         for p in range(n):
             f = 0
-            for step in out[p]:
-                blocked = escape(*step)
+            for label, p1 in l.out(p):
+                blocked = escape[label, held[p1]]
                 if branching:
-                    blocked = reach(blocked & ~rows[p])
+                    blocked = reach[blocked & ~rows[p]]
                 f |= ~blocked
             fire.append(f)
         return fire
@@ -174,26 +165,25 @@ def _four_rule(l: Lts):
     and p1, q2 not held either way."""
     n = l.n_states
     full = (1 << n) - 1
-    back = tau_closure(l).back
-    silent = _out_steps(l, lambda label: label.silent)
-    visible = _out_steps(l, lambda label: not label.silent)
+    reach = _reaching(tau_closure(l).back)
+    escape = _escaping(l)
 
     def rule(rows, cols):
-        escape = _escaping(l, rows, cols, directed=True)
-        reach = _reaching(back)
         fire = []
         for p in range(n):
             left = rows[p]
             # Apart from every state in q's silent closure.
-            f = ~reach(full & ~(left | cols[p]))
-            for step in silent[p]:
-                # Weakening along a silent step on the left; the silent-step
-                # rule with the extra right-to-left hypothesis (q, p1).
-                p1 = step[1]
-                f |= rows[p1] | (cols[p1] & ~reach(escape(*step) & ~left))
-            for step in visible[p]:
-                # Visible-step rule.
-                f |= ~reach(escape(*step) & ~left)
+            f = ~reach[full & ~(left | cols[p])]
+            for label, p1 in l.out(p):
+                blocked = reach[escape[label, rows[p1] | cols[p1]] & ~left]
+                if label.silent:
+                    # Weakening along a silent step on the left; the
+                    # silent-step rule with the extra right-to-left
+                    # hypothesis (q, p1).
+                    f |= rows[p1] | (cols[p1] & ~blocked)
+                else:
+                    # Visible-step rule.
+                    f |= ~blocked
             fire.append(f)
         return fire
     return rule
@@ -205,13 +195,13 @@ def strong_apartness(l: Lts) -> DirectedPairRelation:
 
     Every label, the silent one included, is treated as an ordinary action.
     """
-    rule = _step_rule(l, directed=False, branching=False)
+    rule = _step_rule(l, branching=False)
     return _saturate(l.n_states, rule, symmetric=True)
 
 
 @per_lts
 def directed_strong_apartness(l: Lts) -> DirectedPairRelation:
-    rule = _step_rule(l, directed=True, branching=False)
+    rule = _step_rule(l, branching=False)
     return _saturate(l.n_states, rule, symmetric=False)
 
 
@@ -220,13 +210,13 @@ def branching_apartness(l: Lts) -> DirectedPairRelation:
     """Least symmetric relation closed under the one-rule branching system,
     computed over the silent-step reflexive closure (the relation is
     invariant under that closure)."""
-    rule = _step_rule(l, directed=False, branching=True)
+    rule = _step_rule(l, branching=True)
     return _saturate(l.n_states, rule, symmetric=True)
 
 
 @per_lts
 def directed_branching_apartness(l: Lts) -> DirectedPairRelation:
-    rule = _step_rule(l, directed=True, branching=True)
+    rule = _step_rule(l, branching=True)
     return _saturate(l.n_states, rule, symmetric=False)
 
 

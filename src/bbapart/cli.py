@@ -2,14 +2,15 @@
 random, validate.
 
 Exit codes: 0 for any successful answer (including "not apart" and "does
-not distinguish"), 2 for usage or input-parse errors, 3 when an internal
-invariant check fails.
+not distinguish"), 2 for usage, input-parse or output errors, 3 when an
+internal invariant check fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -253,8 +254,9 @@ def cmd_validate(args) -> int:
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The argument parser; given ``argv``, only the subcommands it names
-    get their arguments.  It answers ``argv`` as the full parser does: no
-    other subparser runs, and the top level shows only names and help."""
+    get their arguments and ``--help``.  It answers ``argv`` as the full
+    parser does: no other subparser runs, and the top level shows only
+    names and help."""
     parser = argparse.ArgumentParser(
         prog="bbapart",
         description="Apartness, bisimilarity, model checking, and "
@@ -263,9 +265,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     def add(name, func, help):
         """The subparser of ``name``, or None if it needs no arguments."""
-        sub = subs.add_parser(name, help=help)
+        named = argv is None or name in argv
+        sub = subs.add_parser(name, help=help, add_help=named)
         sub.set_defaults(func=func)
-        return sub if argv is None or name in argv else None
+        return sub if named else None
 
     sub = add("parse", cmd_parse, "parse an .aut file and print stats")
     if sub is not None:
@@ -342,8 +345,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except (CliError, NotDistinguishingError, FormulaTooDeepError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (CliError, NotDistinguishingError, FormulaTooDeepError,
+            OSError) as exc:  # files fail as CliError: OSError is stdout's
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone: keep the flush at exit silent.
+            sys.stdout = open(os.devnull, "w")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

@@ -434,21 +434,24 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
 
     Bisimilarity of a kind is the exact complement of apartness of that
     kind, so the verdict is read off the relation; the ``duality-*``
-    properties check that complement against the oracles."""
+    properties check that complement against the oracles.  Branching
+    apartness is read off the symmetric closure of the directed relation,
+    one fixpoint for verdict and certificate, as
+    ``symmetric-closure-branching`` checks."""
     if kind not in KINDS:
         raise KeyError(f"unknown relation kind: {kind!r}")
     if not (0 <= p < l.n_states and 0 <= q < l.n_states):
         raise KeyError("state index out of range")
-    apart = (ap.directed_branching_apartness_nonreflexive(l)
-             if kind == "dbranching" and nonreflexive
-             else _APART_ENGINES[kind](l))
-    result = {
-        "kind": kind,
-        "apart": (p, q) in apart,
-        "apartReverse": (q, p) in apart,
-        "bisimilar": (p, q) not in apart,
-    }
-    if result["apart"] and kind in ("branching", "dbranching"):
+    if kind == "dbranching" and nonreflexive:
+        apart = ap.directed_branching_apartness_nonreflexive(l)
+    else:
+        apart = _APART_ENGINES["dbranching" if kind == "branching" else kind](l)
+    forward, backward = (p, q) in apart, (q, p) in apart
+    if kind == "branching":
+        forward = backward = forward or backward
+    result = {"kind": kind, "apart": forward, "apartReverse": backward,
+              "bisimilar": not forward}
+    if forward and kind in ("branching", "dbranching"):
         # Certificates come from the directed engine (its round stamps, not
         # the four-rule engine's); for the symmetric kind the held
         # direction of the directed relation supplies one.

@@ -165,3 +165,34 @@ def test_queries_leave_the_per_pair_views_unbuilt():
                 distinguish_pair(l, p, q)
                 apart += 1
     assert apart and unbuilt()
+
+
+def two_engine_branching_check(l, p, q) -> dict:
+    """``check_pair(l, "branching", p, q)`` computed from the symmetric
+    engine, with the certificate from the directed one."""
+    apart = branching_apartness(l)
+    result = {"kind": "branching", "apart": (p, q) in apart,
+              "apartReverse": (q, p) in apart, "bisimilar": (p, q) not in apart}
+    if result["apart"]:
+        db = directed_branching_apartness(l)
+        pair = (p, q) if (p, q) in db else (q, p)
+        result["derivation"] = extract_derivation(l, db, *pair).to_json(l)
+    return result
+
+
+def _assert_branching_check_is_two_engine(l):
+    for p in range(l.n_states):
+        for q in range(l.n_states):
+            assert check_pair(l, "branching", p, q) == \
+                two_engine_branching_check(l, p, q), (p, q)
+
+
+def test_branching_check_matches_two_engines_on_fixtures():
+    for stem in ("fix1", "fixsr", "fixsr_s", "fixpq", "fixg2"):
+        _assert_branching_check_is_two_engine(load_fixture(stem))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ltss())
+def test_branching_check_matches_two_engines(l):
+    _assert_branching_check_is_two_engine(l)

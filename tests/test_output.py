@@ -1,11 +1,18 @@
 """JSON output of the command line: the same bytes as ``json.dump(...,
-indent=2)``, at any nesting depth."""
+indent=2)``, at any nesting depth; a write that fails is one error line."""
 
+import errno
+import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import bbapart
 from bbapart import cli
 from bbapart.apartness import TAG_RIGHT_FWD, ChildStep, Derivation
 from bbapart.lts import ActionLabel
@@ -97,3 +104,48 @@ def test_2000_round_certificate_prints(monkeypatch):
     assert sink.tail.endswith("\n      }\n    }\n  ]\n}\n")
     assert sink.size > 2000 * 6000
 
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` raises ``error``."""
+
+    def __init__(self, error, method):
+        super().__init__()
+        setattr(self, method, self._fail)
+        self.error = error
+
+    def _fail(self, *args):
+        raise self.error
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("error", [
+    BrokenPipeError(errno.EPIPE, "Broken pipe"),
+    OSError(errno.ENOSPC, "No space left on device")])
+@pytest.mark.parametrize("argv", [
+    ["check", "--lts", str(DATA / "fixsr.aut"), "--kind", "dbranching", "0", "5"],
+    ["random", "--states", "3"]])
+def test_a_failed_write_to_stdout_is_one_error_line(capsys, monkeypatch, argv,
+                                                    error, method):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error, method))
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {error}\n"
+    if isinstance(error, BrokenPipeError):
+        # The flush at exit writes to os.devnull instead.
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+    else:
+        assert isinstance(sys.stdout, _FailingStdout)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_2_without_a_traceback():
+    src = str(Path(bbapart.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "bbapart", "check", "--lts",
+             str(DATA / "fixsr.aut"), "--kind", "dbranching", "0", "0"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert done.returncode == cli.EXIT_USAGE
+    assert done.stderr == "error: [Errno 28] No space left on device\n"
