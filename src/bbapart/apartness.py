@@ -1,5 +1,5 @@
-"""Least-fixpoint engines for the four apartness relations, each run once
-per LTS.
+"""Least-fixpoint engines for the four apartness relations, or, given a
+``goal`` of ordered pairs, their rounds up to the first that holds them.
 
 All engines share one round-based bottom-up saturation kernel: each round
 evaluates the rule body for every ordered pair against the previous
@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .logic import _fold
-from .lts import Lts, _bits, _union, per_lts, reflexive_closure, tau_closure
+from .lts import Lts, _bits, _union, reflexive_closure, tau_closure
 
 
 class InternalInvariantError(AssertionError):
@@ -63,8 +63,21 @@ class DirectedPairRelation:
                 for q, r in enumerate(self.stamps(p)) if r}
 
 
-def _saturate(n: int, rule, symmetric: bool) -> DirectedPairRelation:
-    """The least fixpoint of ``rule``, one round at a time, on bitmasks.
+class _Progress:
+    """A least fixpoint as far as it has run: the rows, the columns (the
+    rows, for a symmetric relation) and the layers of its rounds so far,
+    and ``done`` once a round finds nothing new.  It only grows."""
+
+    def __init__(self, n: int, symmetric: bool):
+        self.rows, self.layers, self.done = [0] * n, [], False
+        self.cols = self.rows if symmetric else [0] * n
+
+
+def _saturate(n: int, rule, symmetric: bool, goal=None,
+              progress: _Progress | None = None) -> DirectedPairRelation:
+    """The least fixpoint of ``rule``, one round at a time, on bitmasks, or
+    its rounds up to the first that holds every pair of a ``goal``: there a
+    pair held has its stamp in the whole fixpoint, any other a later one.
 
     ``rows[p]`` holds the q with (p, q) held and ``cols[q]`` the p with
     (p, q) held, as of the previous round.  ``rule(rows, cols)`` gives, per
@@ -73,17 +86,19 @@ def _saturate(n: int, rule, symmetric: bool) -> DirectedPairRelation:
     symmetric relation) are added, and the rows' growth is the round's
     layer.  One round costs what the rule costs, so a rule that walks the
     out-steps of every state and ORs n-bit masks costs
-    O(sum_p out(p) * n) word operations.
+    O(sum_p out(p) * n) word operations.  Given the ``progress`` of an
+    earlier call with the same rule, it resumes there.
     """
     full = (1 << n) - 1
-    rows = [0] * n
-    cols = rows if symmetric else [0] * n  # a symmetric relation is its transpose
-    layers = []
-    while True:
+    s = progress or _Progress(n, symmetric)
+    rows, cols, layers = s.rows, s.cols, s.layers
+    while not (s.done or goal is not None
+               and all(rows[p] >> q & 1 for p, q in goal)):
         if len(layers) > n * n:
             raise InternalInvariantError("fixpoint failed to stabilize")
         fresh = [f & full & ~r for f, r in zip(rule(rows, cols), rows)]
         if not any(fresh):
+            s.done = True
             break
         before = rows[:]
         for p, f in enumerate(fresh):
@@ -189,42 +204,43 @@ def _four_rule(l: Lts):
     return rule
 
 
-@per_lts
-def strong_apartness(l: Lts) -> DirectedPairRelation:
+def _fixpoint(l: Lts, kind: str) -> _Memo:
+    """Engine ``kind``'s relation per ``goal``, a tuple of pairs or None: one
+    record per LTS and kind, with the rule, its memos and its progress."""
+    symmetric = kind in ("strong", "branching")
+    rule = (_four_rule(l) if kind == "nonreflexive" else
+            _step_rule(l, branching=kind in ("branching", "dbranching")))
+    progress = _Progress(l.n_states, symmetric)
+    return _Memo(lambda goal: _saturate(l.n_states, rule, symmetric, goal, progress))
+
+
+def strong_apartness(l: Lts, goal=None) -> DirectedPairRelation:
     """Least symmetric relation closed under the strong rule.
 
     Every label, the silent one included, is treated as an ordinary action.
     """
-    rule = _step_rule(l, branching=False)
-    return _saturate(l.n_states, rule, symmetric=True)
+    return l.memo(_fixpoint, "strong")[goal]
 
 
-@per_lts
-def directed_strong_apartness(l: Lts) -> DirectedPairRelation:
-    rule = _step_rule(l, branching=False)
-    return _saturate(l.n_states, rule, symmetric=False)
+def directed_strong_apartness(l: Lts, goal=None) -> DirectedPairRelation:
+    return l.memo(_fixpoint, "dstrong")[goal]
 
 
-@per_lts
-def branching_apartness(l: Lts) -> DirectedPairRelation:
+def branching_apartness(l: Lts, goal=None) -> DirectedPairRelation:
     """Least symmetric relation closed under the one-rule branching system,
     computed over the silent-step reflexive closure (the relation is
     invariant under that closure)."""
-    rule = _step_rule(l, branching=True)
-    return _saturate(l.n_states, rule, symmetric=True)
+    return l.memo(_fixpoint, "branching")[goal]
 
 
-@per_lts
-def directed_branching_apartness(l: Lts) -> DirectedPairRelation:
-    rule = _step_rule(l, branching=True)
-    return _saturate(l.n_states, rule, symmetric=False)
+def directed_branching_apartness(l: Lts, goal=None) -> DirectedPairRelation:
+    return l.memo(_fixpoint, "dbranching")[goal]
 
 
-@per_lts
-def directed_branching_apartness_nonreflexive(l: Lts) -> DirectedPairRelation:
+def directed_branching_apartness_nonreflexive(l: Lts, goal=None) -> DirectedPairRelation:
     """The four-rule system on the raw LTS; agrees with
     :func:`directed_branching_apartness` on every LTS."""
-    return _saturate(l.n_states, _four_rule(l), symmetric=False)
+    return l.memo(_fixpoint, "nonreflexive")[goal]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ internal invariant check fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -341,18 +343,26 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        code = args.func(args)
+        printed = io.StringIO()  # argparse would ignore a failed write
+        try:
+            with contextlib.redirect_stdout(printed):
+                args = build_parser(argv).parse_args(argv)
+        except SystemExit as exc:  # help, or a usage error on stderr
+            sys.stdout.write(printed.getvalue())
+            code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        else:
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except (CliError, NotDistinguishingError, FormulaTooDeepError,
             OSError) as exc:  # files fail as CliError: OSError is stdout's
-        if isinstance(exc, BrokenPipeError):
-            # The reader is gone: keep the flush at exit silent.
-            sys.stdout = open(os.devnull, "w")
+        if isinstance(exc, OSError):  # keep the flush at exit silent
+            with contextlib.suppress(OSError, ValueError):
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                sys.stdout = open(os.devnull, "w")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

@@ -227,7 +227,8 @@ class Lts:
 
     def memo(self, compute, *args):
         """``compute(self, *args)``, computed once per LTS and arguments: the
-        one analysis of this LTS, shared by every caller, so never mutated."""
+        one analysis of this LTS, shared by every caller, so never mutated,
+        except that a fixpoint's progress record only grows."""
         memo = self.__dict__.setdefault("_memo", {})
         key = (compute, *args)
         if key not in memo:

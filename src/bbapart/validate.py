@@ -442,10 +442,13 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
         raise KeyError(f"unknown relation kind: {kind!r}")
     if not (0 <= p < l.n_states and 0 <= q < l.n_states):
         raise KeyError("state index out of range")
+    # Only the rounds the verdict needs; branching waits for (p, q), its
+    # certificate's pick, and reads (q, p) off the fixpoint if never held.
+    goal = ((p, q),) if kind == "branching" else ((p, q), (q, p))
     if kind == "dbranching" and nonreflexive:
-        apart = ap.directed_branching_apartness_nonreflexive(l)
+        apart = ap.directed_branching_apartness_nonreflexive(l, goal)
     else:
-        apart = _APART_ENGINES["dbranching" if kind == "branching" else kind](l)
+        apart = _APART_ENGINES["dbranching" if kind == "branching" else kind](l, goal)
     forward, backward = (p, q) in apart, (q, p) in apart
     if kind == "branching":
         forward = backward = forward or backward
@@ -455,7 +458,7 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
         # Certificates come from the directed engine (its round stamps, not
         # the four-rule engine's); for the symmetric kind the held
         # direction of the directed relation supplies one.
-        db = ap.directed_branching_apartness(l)
+        db = ap.directed_branching_apartness(l, goal[:1]) if nonreflexive else apart
         pair = (p, q) if (p, q) in db else (q, p)
         result["derivation"] = ap.extract_derivation(l, db, *pair).to_json(l)
     return result
@@ -465,7 +468,7 @@ def distinguish_pair(l: Lts, p: int, q: int) -> dict:
     """Synthesize a distinguishing P-formula for a directed-branching-apart
     pair, together with the derivation it came from.  A pair that is not
     apart is directed branching bisimilar, by duality."""
-    apart = ap.directed_branching_apartness(l)
+    apart = ap.directed_branching_apartness(l, ((p, q),))
     if (p, q) not in apart:
         raise NotApartError(
             f"states {l.state_name(p)} and {l.state_name(q)} are not apart "
