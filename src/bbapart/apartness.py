@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .logic import _fold
-from .lts import Lts, _bits, _union, reflexive_closure, tau_closure
+from .lts import TAU, Lts, _bits, _union, reflexive_closure, tau_closure
 
 
 class InternalInvariantError(AssertionError):
@@ -126,13 +126,12 @@ class _Memo(dict):
         return value
 
 
-def _reaching(back: tuple) -> _Memo:
-    """``reach[x]``: the states with a silent path into a state of the
-    bitmask ``x`` (``back`` is :attr:`TauClosure.back`), kept for one
-    fixpoint.  Only the states of ``x`` that are ``entered``, by a silent
-    step from another state, add more than themselves; without them, ``x``
-    is its own reach."""
-    entered = sum(1 << q for q, b in enumerate(back) if b != 1 << q)
+def _reaching(l: Lts) -> _Memo:
+    """``reach[x]``: the states of ``l`` with a silent path into a state of
+    the bitmask ``x``, kept for one fixpoint.  Only the states of ``x``
+    that are entered by a silent step from another state add more than
+    themselves; without them, ``x`` is its own reach."""
+    back, entered = tau_closure(l).back, l.entered(TAU)
     return _Memo(lambda x: x | _union(x & entered, back) if x & entered else x)
 
 
@@ -154,7 +153,7 @@ def _step_rule(l: Lts, branching: bool):
     reflexive closure."""
     if branching:
         l = reflexive_closure(l)
-        reach = _reaching(tau_closure(l).back)
+        reach = _reaching(l)
     n = l.n_states
     escape = _escaping(l)
 
@@ -180,7 +179,7 @@ def _four_rule(l: Lts):
     and p1, q2 not held either way."""
     n = l.n_states
     full = (1 << n) - 1
-    reach = _reaching(tau_closure(l).back)
+    reach = _reaching(l)
     escape = _escaping(l)
 
     def rule(rows, cols):

@@ -80,6 +80,7 @@ def _branching_clause(l: Lts):
 
 
 def _dbranching_clause(l: Lts):
+    l = reflexive_closure(l)
     tc = tau_closure(l)
 
     def clause(p, q, rel):
@@ -111,15 +112,14 @@ def branching_bisimilarity(l: Lts) -> BisimRelation:
 
 @per_lts
 def directed_branching_bisimilarity(l: Lts) -> BisimRelation:
-    closed = reflexive_closure(l)
-    return _refine(l.n_states, _dbranching_clause(closed), symmetric=False)
+    return _refine(l.n_states, _dbranching_clause(l), symmetric=False)
 
 
 _ENGINES = {
-    "strong": (strong_bisimilarity, _strong_clause, True, False),
-    "dstrong": (directed_strong_bisimilarity, _dstrong_clause, False, False),
-    "branching": (branching_bisimilarity, _branching_clause, True, False),
-    "dbranching": (directed_branching_bisimilarity, _dbranching_clause, False, True),
+    "strong": (strong_bisimilarity, _strong_clause, True),
+    "dstrong": (directed_strong_bisimilarity, _dstrong_clause, False),
+    "branching": (branching_bisimilarity, _branching_clause, True),
+    "dbranching": (directed_branching_bisimilarity, _dbranching_clause, False),
 }
 
 
@@ -132,14 +132,12 @@ def bisimilarity(l: Lts, kind: str) -> BisimRelation:
 def refine_once_violations(l: Lts, kind: str, rel: BisimRelation) -> list:
     """Pairs a further deletion pass would remove; empty iff ``rel`` is a
     bisimulation of its kind."""
-    _, make_clause, symmetric, close = _ENGINES[kind]
-    target = reflexive_closure(l) if close else l
-    return _violations_one_pass(l.n_states, make_clause(target), symmetric, rel.holds)
+    _, make_clause, symmetric = _ENGINES[kind]
+    return _violations_one_pass(l.n_states, make_clause(l), symmetric, rel.holds)
 
 
 def refine_with_order(l: Lts, kind: str, order) -> BisimRelation:
     """Re-run a refinement with a custom pair scan order; the greatest
     fixpoint is order-independent."""
-    _, make_clause, symmetric, close = _ENGINES[kind]
-    target = reflexive_closure(l) if close else l
-    return _refine(l.n_states, make_clause(target), symmetric, order=list(order))
+    _, make_clause, symmetric = _ENGINES[kind]
+    return _refine(l.n_states, make_clause(l), symmetric, order=list(order))

@@ -36,7 +36,7 @@ from .logic import (
     parse_formula,
     pformula_to_json,
 )
-from .lts import AutParseError, Lts, load_names, parse_aut, reflexive_closure
+from .lts import TAU, AutParseError, Lts, load_names, parse_aut, reflexive_closure
 from .validate import NotApartError, check_pair, cross_validate, distinguish_pair, run_campaign
 
 EXIT_OK = 0
@@ -51,8 +51,8 @@ class CliError(Exception):
 def _load_lts(args) -> Lts:
     path = Path(args.lts)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         l = parse_aut(text, silent_label=args.tau_label)
@@ -151,8 +151,7 @@ def cmd_parse(args) -> int:
 
 def cmd_check(args) -> int:
     l = _load_lts(args)
-    if args.kind in ("strong", "dstrong") and any(
-            label.silent for _, label, _ in l.transitions):
+    if args.kind in ("strong", "dstrong") and TAU in l.actions:
         print("warning: strong relations treat the silent action as an "
               "ordinary label on this LTS", file=sys.stderr)
     p, q = _state(l, args.p), _state(l, args.q)

@@ -21,6 +21,7 @@ from .lts import (
     HashConsed,
     Lts,
     NonReflexiveLtsError,
+    _bits,
     constrained_tau_reach,
     reflexive_closure,
 )
@@ -310,26 +311,26 @@ def canonical_key(f: PFormula) -> PFormula:
     return _cached(f, "_canon", _canon_children, _make_canon) or f
 
 
-def p_and_all(items) -> PFormula:
-    """Right-fold conjunction; the empty conjunction is T."""
+def _right_fold(make, items, empty):
+    """``make(x1, make(x2, ... xk))`` over ``items`` x1 .. xk; ``empty``
+    when there are none."""
     items = list(items)
     if not items:
-        return PTOP
+        return empty
     result = items[-1]
     for g in reversed(items[:-1]):
-        result = PAnd(g, result)
+        result = make(g, result)
     return result
+
+
+def p_and_all(items) -> PFormula:
+    """Right-fold conjunction; the empty conjunction is T."""
+    return _right_fold(PAnd, items, PTOP)
 
 
 def p_or_all(items) -> PFormula:
     """Right-fold disjunction; the empty disjunction is F."""
-    items = list(items)
-    if not items:
-        return PBOT
-    result = items[-1]
-    for g in reversed(items[:-1]):
-        result = POr(g, result)
-    return result
+    return _right_fold(POr, items, PBOT)
 
 
 def _make_embedding(f: PFormula) -> Formula:
@@ -344,13 +345,7 @@ def _make_embedding(f: PFormula) -> Formula:
     if isinstance(f, PDiamond):
         parts = ([g._embedding for g in f.pos]
                  + [Neg(g._embedding) for g in f.neg])
-        if not parts:
-            right: Formula = TOP
-        else:
-            right = parts[-1]
-            for g in reversed(parts[:-1]):
-                right = And(g, right)
-        return Diamond(f.left._embedding, f.label, right)
+        return Diamond(f.left._embedding, f.label, _right_fold(And, parts, TOP))
     raise TypeError(f)
 
 
@@ -384,14 +379,11 @@ class SatEvaluator:
         self._all = (1 << l.n_states) - 1
         self._memo: dict = {}
         # Silent predecessors without the reflexive self-loops, which never
-        # extend a backward search; states with none are absent, and
-        # _tau_entered is the mask of those present.
-        self._tau_pred = {}
-        for q, srcs in l.predecessors(TAU).items():
-            proper = tuple(p for p in srcs if p != q)
-            if proper:
-                self._tau_pred[q] = proper
-        self._tau_entered = sum(1 << q for q in self._tau_pred)
+        # extend a backward search, of the states entered by a silent step
+        # from another state; states with none are absent.
+        self._tau_entered = l.entered(TAU)
+        self._tau_pred = {q: tuple(_bits(l.preimage(TAU, 1 << q) & ~(1 << q)))
+                          for q in _bits(self._tau_entered)}
 
     @classmethod
     def of(cls, l: Lts) -> "SatEvaluator":
@@ -484,11 +476,6 @@ def p_satisfies(l: Lts, p: int, f: PFormula) -> bool:
     return bool(_p_sat(l, f, {}) >> p & 1)
 
 
-def _successors(l: Lts, label: ActionLabel) -> tuple:
-    """Per state, the mask of its ``label``-successors."""
-    return tuple(sum(1 << q for q in l.succ(p, label)) for p in range(l.n_states))
-
-
 def _reach_inside(l: Lts, allowed: int) -> tuple:
     """Per state p, the mask of the states reachable from p along silent
     paths inside the mask ``allowed`` (0 when p is outside it)."""
@@ -524,7 +511,7 @@ def _p_sat(l: Lts, f: PFormula, memo: dict) -> int:
             for m in sub[1 + len(g.pos):]:
                 right &= ~m
             into = sum(1 << p for p, succ in
-                       enumerate(l.memo(_successors, g.label)) if succ & right)
+                       enumerate(l.succ_masks(g.label)) if succ & right)
             return sum(1 << p for p, reach in
                        enumerate(l.memo(_reach_inside, sub[0])) if reach & into)
         raise TypeError(g)

@@ -15,7 +15,6 @@ from functools import cached_property, reduce
 from itertools import repeat
 from operator import and_, or_, rshift
 from pathlib import Path
-from types import MappingProxyType
 
 
 class AutParseError(ValueError):
@@ -93,7 +92,6 @@ class ActionLabel(HashConsed):
 
 TAU = ActionLabel()
 
-_NO_STEPS = MappingProxyType({})
 _NO_STEP_MASKS = (0, (), (), ())
 
 
@@ -115,14 +113,10 @@ def _union(x: int, masks) -> int:
     return out
 
 
-def _group(triples) -> dict:
-    """``{label: {state: (other, ...)}}`` from (label, state, other)
-    triples, keeping their order within each group."""
-    index: dict = {}
-    for label, state, other in triples:
-        index.setdefault(label, {}).setdefault(state, []).append(other)
-    return {label: {state: tuple(others) for state, others in by_state.items()}
-            for label, by_state in index.items()}
+def _step_order(step: tuple) -> tuple:
+    """The one order of steps (source, label, target): by source, then
+    label (see :attr:`ActionLabel.sort_key`), then target."""
+    return step[0], step[1].sort_key, step[2]
 
 
 @dataclass(frozen=True)
@@ -157,53 +151,48 @@ class Lts:
         return frozenset(a for a in self.actions if not a.silent)
 
     @cached_property
-    def _out(self) -> tuple:
-        out = [[] for _ in range(self.n_states)]
-        for src, label, dst in self.transitions:
-            out[src].append((label, dst))
-        return tuple(tuple(sorted(o, key=lambda t: (t[0].sort_key, t[1]))) for o in out)
+    def _steps(self) -> tuple:
+        """The one index of the steps, from one pass over them in step
+        order: per state, its out-steps; per (label, state), the targets
+        of its steps; per label, its step masks in two forms: the mask of
+        the states entered with, per state, the mask of its predecessors;
+        and the diagonals, per offset d = q - p the shift n + d with the
+        mask of the sources p of a step p -> p + d."""
+        n = self.n_states
+        out = [[] for _ in range(n)]
+        succ: dict = {}
+        by_label: dict = {}
+        for p, label, q in sorted(self.transitions, key=_step_order):
+            out[p].append((label, q))
+            succ.setdefault((label, p), []).append(q)
+            if label not in by_label:
+                by_label[label] = ([0] * n, {})
+            preds, diagonals = by_label[label]
+            preds[q] |= 1 << p
+            diagonals[q - p] = diagonals.get(q - p, 0) | 1 << p
+        return (tuple(map(tuple, out)), {key: tuple(qs) for key, qs in succ.items()},
+                {label: (sum(1 << q for q, m in enumerate(preds) if m), tuple(preds),
+                         tuple(n + d for d in diagonals), tuple(diagonals.values()))
+                 for label, (preds, diagonals) in by_label.items()})
 
     def out(self, p: int) -> tuple:
-        """Outgoing (label, target) pairs of ``p``, sorted by (label, target)."""
-        return self._out[p]
-
-    @cached_property
-    def _succ_index(self) -> dict:
-        return _group((label, p, dst) for p, out in enumerate(self._out)
-                      for label, dst in out)
-
-    @cached_property
-    def _pred_index(self) -> dict:
-        return _group((label, dst, p) for p, out in enumerate(self._out)
-                      for label, dst in out)
+        """Outgoing (label, target) pairs of ``p``, in step order."""
+        return self._steps[0][p]
 
     def succ(self, p: int, label: ActionLabel) -> tuple:
         """Targets of ``label``-steps from ``p``, ascending."""
-        return self._succ_index.get(label, _NO_STEPS).get(p, ())
+        return self._steps[1].get((label, p), ())
 
-    def predecessors(self, label: ActionLabel) -> dict:
-        """Sources of ``label``-steps, ascending, keyed by target state;
-        targets without such a step are absent."""
-        return self._pred_index.get(label, _NO_STEPS)
+    def succ_masks(self, label: ActionLabel) -> tuple:
+        """Per state, the mask of its ``label``-successors, built on first
+        use per label."""
+        return self.memo(_succ_masks, label)
 
-    @cached_property
-    def _step_masks(self) -> dict:
-        """Per label, its steps as bitmasks in two forms: the mask of the
-        states entered with, per state, the mask of its predecessors; and
-        the diagonals, per offset d = q - p the shift n + d with the mask
-        of the sources p of a step p -> p + d."""
-        masks = {}
-        for label, by_target in self._pred_index.items():
-            preds = [0] * self.n_states
-            diagonals: dict = {}
-            for q, srcs in by_target.items():
-                preds[q] = sum(1 << p for p in srcs)
-                for p in srcs:
-                    diagonals[q - p] = diagonals.get(q - p, 0) | 1 << p
-            masks[label] = (sum(1 << q for q in by_target), tuple(preds),
-                            tuple(self.n_states + d for d in diagonals),
-                            tuple(diagonals.values()))
-        return masks
+    def entered(self, label: ActionLabel) -> int:
+        """The mask of the states entered by a ``label``-step from another
+        state."""
+        preds = self._steps[2].get(label, _NO_STEP_MASKS)[1]
+        return sum(1 << q for q, m in enumerate(preds) if m & ~(1 << q))
 
     def preimage(self, label: ActionLabel, x: int) -> int:
         """The states with a ``label``-step into the bitmask ``x`` (bit
@@ -213,7 +202,7 @@ class Lts:
         the targets in ``x``, one per target, or ``x`` shifted along each
         diagonal and masked by its sources, one per diagonal, in C."""
         targets, preds, shifts, diagonals = \
-            self._step_masks.get(label, _NO_STEP_MASKS)
+            self._steps[2].get(label, _NO_STEP_MASKS)
         hit = x & targets
         if hit.bit_count() <= len(shifts):
             return _union(hit, preds)
@@ -306,10 +295,15 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
 
 def render_aut(l: Lts, silent_label: str = "tau") -> str:
     lines = [f"des ({l.initial},{len(l.transitions)},{l.n_states})"]
-    for src, label, dst in sorted(l.transitions, key=lambda t: (t[0], t[1].sort_key, t[2])):
+    for src, label, dst in sorted(l.transitions, key=_step_order):
         token = silent_label if label.silent else label.name
         lines.append(f'({src},"{token}",{dst})')
     return "\n".join(lines) + "\n"
+
+
+def _succ_masks(l: Lts, label: ActionLabel) -> tuple:
+    """See :meth:`Lts.succ_masks`."""
+    return tuple(sum(1 << q for q in l.succ(p, label)) for p in range(l.n_states))
 
 
 def per_lts(compute):
@@ -320,7 +314,7 @@ def per_lts(compute):
 def load_names(path) -> tuple:
     """Load a sidecar name map: a JSON object from state index to name.
     Raises ``ValueError`` on any other JSON value."""
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not (isinstance(data, dict)
             and all(isinstance(name, str) for name in data.values())):
         raise ValueError("expected a JSON object mapping state indices to names")

@@ -29,7 +29,6 @@ from .logic import (
     BOT,
     enumerate_pformulas,
     _p_sat,
-    _successors,
     p_embed,
 )
 from .lts import TAU, Lts, _bits, _union, per_lts, reflexive_closure, tau_closure
@@ -200,26 +199,22 @@ def synthesis_violations(l: Lts) -> list:
 # Enumeration-gated logic suites
 
 
-def _enumeration(l: Lts, depth: int) -> tuple:
-    """``(g, satisfaction mask)`` per enumerated P-formula ``g``, the mask
-    from the checker on its embedding (see :func:`p_embed`), which ``g``
-    keeps."""
+def _enum_context(l: Lts) -> tuple:
+    """The reflexive closure, its evaluator, and ``(g, satisfaction mask)``
+    per P-formula ``g`` enumerated to depth ``ENUM_DEPTH``, the mask from
+    the checker on its embedding (see :func:`p_embed`), which ``g`` keeps;
+    computed once per LTS."""
     ev = SatEvaluator.of(l)
-    return tuple((g, ev.mask(p_embed(g)))
-                 for g in enumerate_pformulas(l.visible_actions, depth))
+    return ev.lts, ev, tuple((g, ev.mask(p_embed(g))) for g in
+                             enumerate_pformulas(l.visible_actions, ENUM_DEPTH))
 
 
-def _enum_context(l: Lts, depth: int):
-    """The reflexive closure, its evaluator and its enumeration of ``depth``."""
-    return reflexive_closure(l), SatEvaluator.of(l), l.memo(_enumeration, depth)
-
-
-def tau_transfer_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
+def tau_transfer_violations(l: Lts) -> list:
     """Positive formulas transfer satisfaction backward along silent
     steps, negative ones forward; checked on embedded enumerated
     P-formulas and their negations."""
-    closed, _, enumeration = _enum_context(l, depth)
-    silent = closed.memo(_successors, TAU)
+    closed, _, enumeration = l.memo(_enum_context)
+    silent = closed.succ_masks(TAU)
     full = (1 << closed.n_states) - 1
     # A silent step from outside the satisfying states into them breaks
     # backward transfer for the positive embedding, and forward transfer
@@ -228,18 +223,18 @@ def tau_transfer_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
             for p in _bits(full & ~sat) for p1 in _bits(silent[p] & sat)]
 
 
-def simpler_diamond_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
+def simpler_diamond_violations(l: Lts) -> list:
     """For diamonds with a positive left side, the constrained-path
     semantics must coincide with the simpler two-step formulation
     (some silent-reachable delta-state with a step into a psi-state)."""
-    closed, ev, enumeration = _enum_context(l, depth)
+    closed, ev, enumeration = l.memo(_enum_context)
     back = tau_closure(closed).back
     out = []
     for g, sat in enumeration:
         if not isinstance(g, PDiamond):
             continue
         f = p_embed(g)
-        right, succ = ev.mask(f.right), closed.memo(_successors, g.label)
+        right, succ = ev.mask(f.right), closed.succ_masks(g.label)
         # The delta-states with a step into a psi-state, then every state
         # silently reaching one of them.
         target = sum(1 << p1 for p1 in _bits(ev.mask(f.left)) if succ[p1] & right)
@@ -249,10 +244,10 @@ def simpler_diamond_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     return out
 
 
-def p_embed_agreement_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
+def p_embed_agreement_violations(l: Lts) -> list:
     """The direct P-formula evaluator and the HMLU checker applied to the
     embedding must agree everywhere."""
-    closed, _, enumeration = _enum_context(l, depth)
+    closed, _, enumeration = l.memo(_enum_context)
     psat: dict = {}  # the P-evaluator's own memo, shared across formulas
     return [{"formula": repr(g), "p": p} for g, sat in enumeration
             for p in _bits(_p_sat(closed, g, psat) ^ sat)]
@@ -272,18 +267,18 @@ def modality_free_violations(l: Lts) -> list:
     return out
 
 
-def good_formula_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
+def good_formula_violations(l: Lts) -> list:
     """A positive good formula separating p from q forces (p, q) into
     directed branching apartness (its negation, a negative good formula,
     forces the same pair from the other side)."""
     rows = ap.directed_branching_apartness(l).rows
-    closed, _, enumeration = _enum_context(l, depth)
+    closed, _, enumeration = l.memo(_enum_context)
     full = (1 << closed.n_states) - 1
     return [{"formula": repr(g), "p": p, "q": q} for g, sat in enumeration
             for p in _bits(sat) for q in _bits(full & ~sat & ~rows[p])]
 
 
-def characterization_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
+def characterization_violations(l: Lts) -> list:
     """Two-sided logical characterization at desk scale.
 
     Directed: a depth-bounded theory non-inclusion forces apartness, and
@@ -299,7 +294,7 @@ def characterization_violations(l: Lts, depth: int = ENUM_DEPTH) -> list:
     # and the q some enumerated formula tells apart from p: one fold over
     # the distinct satisfaction masks.
     included, separable = [full] * n, [0] * n
-    for sat in {sat for _, sat in l.memo(_enumeration, depth)}:
+    for sat in {sat for _, sat in l.memo(_enum_context)[2]}:
         for p in range(n):
             if sat >> p & 1:
                 included[p] &= sat

@@ -142,8 +142,8 @@ def test_criterion_5_tau_extension_and_stuttering(corpus):
 
 def test_criterion_6_logic_properties(fix1, fixsr, fixpq, fixg2):
     for l in (fix1, fixsr, fixpq, fixg2):
-        assert tau_transfer_violations(l, depth=2) == []
-        assert simpler_diamond_violations(l, depth=2) == []
+        assert tau_transfer_violations(l) == []
+        assert simpler_diamond_violations(l) == []
     _report(6, "transfer and simpler-diamond properties at depth 2")
 
 
@@ -151,10 +151,10 @@ def test_criterion_7_synthesis_soundness_and_polarity(corpus):
     for l, aparts, _ in corpus:
         assert synthesis_violations(l) == []
         if l.n_states <= ENUM_LIMIT:
-            assert good_formula_violations(l, 2) == []
+            assert good_formula_violations(l) == []
     # The polarity claim also holds on every fixture alphabet.
     for name in ("fix1", "fixsr", "fixpq", "fixg2"):
-        assert good_formula_violations(load_fixture(name), 2) == []
+        assert good_formula_violations(load_fixture(name)) == []
     _report(7, "synthesis soundness and good-formula polarity")
 
 
@@ -162,5 +162,5 @@ def test_criterion_8_logical_characterization():
     for i in range(30):
         g = GenParams(n_states=2 + i % 4, seed=900 + i)
         l = random_lts(g)
-        assert characterization_violations(l, depth=2) == [], g
+        assert characterization_violations(l) == [], g
     _report(8, "bounded logical characterization on small LTSs")

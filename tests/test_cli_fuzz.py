@@ -31,20 +31,21 @@ hmlu = st.recursive(
 
 @st.composite
 def cli_inputs(draw):
-    """Mostly well-formed inputs over at most six states: an ``.aut`` text
-    that may carry one damaged line, a names sidecar that may be any JSON
-    or none, two state tokens and a formula text, each of them valid or
-    not."""
+    """Mostly well-formed inputs over at most six states: the bytes of an
+    ``.aut`` file that may carry one damaged line, UTF-8 or not, a names
+    sidecar that may be any JSON or none, two state tokens and a formula
+    text, each of them valid or not."""
     n = draw(st.integers(1, MAX_STATES))
     state = st.integers(0, n - 1)
     tau = draw(st.sampled_from(["tau", "i"]))
     steps = draw(st.lists(st.tuples(state, st.sampled_from([tau, "a", "b"]), state),
                           max_size=3 * n))
-    lines = [f"des ({draw(state)},{len(steps)},{n})"]
-    lines += [f'({p},"{label}",{q})' for p, label, q in steps]
+    lines = [f"des ({draw(state)},{len(steps)},{n})".encode()]
+    lines += [f'({p},"{label}",{q})'.encode() for p, label, q in steps]
     if draw(st.integers(0, 3)) == 0:
         lines.insert(draw(st.integers(0, len(lines))),
-                     draw(st.sampled_from(BAD_LINES) | st.text(max_size=12)))
+                     draw((st.sampled_from(BAD_LINES) | st.text(max_size=12)).map(str.encode)
+                          | st.binary(max_size=12)))
     names = draw(st.one_of(
         st.none(),
         st.lists(st.text(max_size=3), min_size=n, max_size=n).map(
@@ -56,7 +57,7 @@ def cli_inputs(draw):
     formula = draw(st.one_of(
         hmlu.map(lambda f: format_formula(f, silent_label=tau)),
         st.text(alphabet="TF~()&|<> abtau", max_size=24)))
-    return tau, "\n".join(lines) + "\n", names, draw(tokens), draw(tokens), formula
+    return tau, b"\n".join(lines) + b"\n", names, draw(tokens), draw(tokens), formula
 
 
 @settings(max_examples=100, deadline=None)
@@ -65,7 +66,7 @@ def test_cli_exits_with_a_code_on_any_input(inputs):
     tau, aut, names, p, q, formula = inputs
     with tempfile.TemporaryDirectory() as tmp:
         aut_path = Path(tmp) / "m.aut"
-        aut_path.write_text(aut)
+        aut_path.write_bytes(aut)
         lts = ["--tau-label", tau]
         if names is not None:
             names_path = Path(tmp) / "m.json"

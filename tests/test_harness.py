@@ -338,6 +338,21 @@ def test_cli_parse_label_with_whitespace(capsys, tmp_path):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["parse", "{aut}"],
+    ["check", "--lts", "{aut}", "--kind", "strong", "0", "1"],
+    ["validate", "--lts", "{aut}"],
+])
+def test_cli_input_that_is_not_utf8_is_one_error_line(capsys, tmp_path, command):
+    aut = tmp_path / "latin1.aut"
+    aut.write_bytes('des (0,1,2)\n(0,"é",1)\n'.encode("latin-1"))
+    assert main([arg.format(aut=aut) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {aut}: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("p,q", [("0", "1"), ("1", "0")])
 def test_cli_convert_deeply_nested(capsys, tmp_path, p, q):
     # 1200 nested <a> on an a-chain of 1200 steps separates states 0 and 1;

@@ -118,21 +118,23 @@ def test_random_lts_render_round_trip(seed):
     assert again.n_states == l.n_states
 
 
-def _filtered_succ(l, p, label):
-    return tuple(dst for lab, dst in l.out(p) if lab == label)
-
-
-def _filtered_pred(l, q, label):
-    return tuple(src for src in range(l.n_states)
-                 for lab, dst in l.out(src) if lab == label and dst == q)
-
-
 def _assert_indices_agree(l):
+    """Every view of the step index against the transition set itself."""
     labels = l.actions | {TAU, ActionLabel("unused")}
+    for p in range(l.n_states):
+        assert l.out(p) == tuple(sorted(((lab, dst) for src, lab, dst in l.transitions
+                                         if src == p),
+                                        key=lambda step: (step[0].sort_key, step[1])))
     for label in labels:
+        steps = {(src, dst) for src, lab, dst in l.transitions if lab == label}
+        entered = {dst for src, dst in steps if src != dst}
+        assert l.entered(label) == sum(1 << q for q in entered)
         for p in range(l.n_states):
-            assert l.succ(p, label) == _filtered_succ(l, p, label)
-            assert l.predecessors(label).get(p, ()) == _filtered_pred(l, p, label)
+            targets = sorted(dst for src, dst in steps if src == p)
+            assert l.succ(p, label) == tuple(targets)
+            assert l.succ_masks(label)[p] == sum(1 << dst for dst in targets)
+            assert l.preimage(label, 1 << p) == sum(1 << src for src, dst in steps
+                                                    if dst == p)
 
 
 @pytest.mark.parametrize("stem", ["fix1", "fixsr", "fixsr_s", "fixpq", "fixg2"])
