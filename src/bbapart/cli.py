@@ -36,7 +36,8 @@ from .logic import (
     parse_formula,
     pformula_to_json,
 )
-from .lts import TAU, AutParseError, Lts, load_names, parse_aut, reflexive_closure
+from .lts import (TAU, AutParseError, Lts, load_names, parse_aut, reflexive_closure,
+                  render_aut)
 from .validate import NotApartError, check_pair, cross_validate, distinguish_pair, run_campaign
 
 EXIT_OK = 0
@@ -82,6 +83,8 @@ def _formula(args):
 
 # Pieces of JSON text joined into one write.
 _WRITE_BATCH = 4096
+# json.dumps of a str and of an exact int, without its dispatch.
+_SCALAR_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__}
 
 
 def _dump(payload, write) -> None:
@@ -106,7 +109,7 @@ def _dump(payload, write) -> None:
                         raise TypeError(f"key {key!r} is not a string")
                     stack.append((item, depth + 1))
                     stack.append(((pad if i == 0 else "," + pad)
-                                  + json.dumps(key) + ": ", None))
+                                  + json.encoder.encode_basestring_ascii(key) + ": ", None))
             else:
                 chunks.append("[")
                 stack.append(("\n" + "  " * depth + "]", None))
@@ -114,7 +117,7 @@ def _dump(payload, write) -> None:
                     stack.append((value[i], depth + 1))
                     stack.append((pad if i == 0 else "," + pad, None))
         else:
-            chunks.append(json.dumps(value))
+            chunks.append(_SCALAR_TEXT.get(type(value), json.dumps)(value))
         if len(chunks) >= _WRITE_BATCH:
             write("".join(chunks))
             chunks.clear()
@@ -127,16 +130,7 @@ def _emit(payload) -> int:
     return EXIT_OK
 
 
-def _add_lts_options(sub):
-    sub.add_argument("--lts", required=True, help="LTS in Aldebaran (.aut) format")
-    sub.add_argument("--tau-label", default="tau", choices=["tau", "i"],
-                     help="token naming the silent action in input files")
-    sub.add_argument("--names", default=None,
-                     help="JSON sidecar mapping state indices to names")
-
-
 def cmd_parse(args) -> int:
-    args.lts = args.file
     l = _load_lts(args)
     silent = sum(1 for _, label, _ in l.transitions if label.silent)
     return _emit({
@@ -215,14 +209,13 @@ def cmd_convert(args) -> int:
 
 
 def cmd_random(args) -> int:
-    from .lts import render_aut
     try:
         params = GenParams(n_states=args.states, visible_actions=args.actions,
                            visible_density=args.vdensity,
                            tau_density=args.tdensity, seed=args.seed)
+        text = render_aut(random_lts(params), silent_label=args.tau_label)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    text = render_aut(random_lts(params), silent_label=args.tau_label)
     if args.output:
         try:
             Path(args.output).write_text(text)
@@ -253,33 +246,25 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The argument parser; given ``argv``, only the subcommands it names
-    get their arguments and ``--help``.  It answers ``argv`` as the full
-    parser does: no other subparser runs, and the top level shows only
-    names and help."""
-    parser = argparse.ArgumentParser(
-        prog="bbapart",
-        description="Apartness, bisimilarity, model checking, and "
-                    "distinguishing-formula synthesis on finite LTSs.")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _commands() -> dict:
+    """The command table: each subcommand's function, help text and the
+    function that adds its arguments.  Built per call from the module's
+    bindings, so that a wrapped command function is the one that runs."""
 
-    def add(name, func, help):
-        """The subparser of ``name``, or None if it needs no arguments."""
-        named = argv is None or name in argv
-        sub = subs.add_parser(name, help=help, add_help=named)
-        sub.set_defaults(func=func)
-        return sub if named else None
+    def lts_options(sub):
+        sub.add_argument("--lts", required=True, help="LTS in Aldebaran (.aut) format")
+        sub.add_argument("--tau-label", default="tau", choices=["tau", "i"],
+                         help="token naming the silent action in input files")
+        sub.add_argument("--names", default=None,
+                         help="JSON sidecar mapping state indices to names")
 
-    sub = add("parse", cmd_parse, "parse an .aut file and print stats")
-    if sub is not None:
-        sub.add_argument("file")
+    def parse(sub):
+        sub.add_argument("lts", metavar="file")
         sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
         sub.add_argument("--names", default=None)
 
-    sub = add("check", cmd_check, "apartness/bisimilarity of a state pair")
-    if sub is not None:
-        _add_lts_options(sub)
+    def check(sub):
+        lts_options(sub)
         sub.add_argument("--kind", required=True,
                          choices=["strong", "dstrong", "branching", "dbranching"])
         sub.add_argument("--nonreflexive", action="store_true",
@@ -287,31 +272,25 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         sub.add_argument("p")
         sub.add_argument("q")
 
-    sub = add("distinguish", cmd_distinguish,
-              "synthesize a distinguishing P-formula")
-    if sub is not None:
-        _add_lts_options(sub)
+    def distinguish(sub):
+        lts_options(sub)
         sub.add_argument("--simplify", action="store_true")
         sub.add_argument("p")
         sub.add_argument("q")
 
-    sub = add("mc", cmd_mc, "model-check a formula at a state")
-    if sub is not None:
-        _add_lts_options(sub)
+    def mc(sub):
+        lts_options(sub)
         sub.add_argument("--state", required=True)
         sub.add_argument("--formula", required=True)
 
-    sub = add("convert", cmd_convert,
-              "turn a distinguishing formula into a P-formula")
-    if sub is not None:
-        _add_lts_options(sub)
+    def convert(sub):
+        lts_options(sub)
         sub.add_argument("--formula", required=True)
         sub.add_argument("--simplify", action="store_true")
         sub.add_argument("p")
         sub.add_argument("q")
 
-    sub = add("random", cmd_random, "generate a seeded random LTS")
-    if sub is not None:
+    def random(sub):
         sub.add_argument("--states", type=int, required=True)
         sub.add_argument("--actions", type=int, default=2)
         sub.add_argument("--vdensity", type=float, default=1.5)
@@ -320,8 +299,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
         sub.add_argument("-o", "--output", default=None)
 
-    sub = add("validate", cmd_validate, "run the cross-validation suites")
-    if sub is not None:
+    def validate(sub):
         sub.add_argument("--lts", default=None)
         sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
         sub.add_argument("--names", default=None)
@@ -336,7 +314,47 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         sub.add_argument("--vdensity", type=float, default=1.5)
         sub.add_argument("--tdensity", type=float, default=0.7)
 
+    return {
+        "parse": (cmd_parse, "parse an .aut file and print stats", parse),
+        "check": (cmd_check, "apartness/bisimilarity of a state pair", check),
+        "distinguish": (cmd_distinguish, "synthesize a distinguishing P-formula", distinguish),
+        "mc": (cmd_mc, "model-check a formula at a state", mc),
+        "convert": (cmd_convert, "turn a distinguishing formula into a P-formula", convert),
+        "random": (cmd_random, "generate a seeded random LTS", random),
+        "validate": (cmd_validate, "run the cross-validation suites", validate),
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, with every subcommand of the table."""
+    parser = argparse.ArgumentParser(
+        prog="bbapart",
+        description="Apartness, bisimilarity, model checking, and "
+                    "distinguishing-formula synthesis on finite LTSs.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help, add_arguments) in _commands().items():
+        sub = subs.add_parser(name, help=help)
+        add_arguments(sub)
+        sub.set_defaults(func=func)
     return parser
+
+
+def _command_args(argv):
+    """``argv`` parsed by the parser of subcommand ``argv[0]`` alone, or
+    None if that parser would print (help, a usage error) or leaves
+    arguments over: the full parser answers those, byte for byte."""
+    if not argv or argv[0] not in (commands := _commands()):
+        return None
+    func, _, add_arguments = commands[argv[0]]
+    parser = argparse.ArgumentParser(prog="bbapart " + argv[0])
+    add_arguments(parser)
+    parser.set_defaults(func=func)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed), \
+            contextlib.suppress(SystemExit):
+        args, extra = parser.parse_known_args(argv[1:])
+        return None if extra else args
+    return None  # help or a usage error
 
 
 def main(argv=None) -> int:
@@ -345,7 +363,7 @@ def main(argv=None) -> int:
         printed = io.StringIO()  # argparse would ignore a failed write
         try:
             with contextlib.redirect_stdout(printed):
-                args = build_parser(argv).parse_args(argv)
+                args = _command_args(argv) or build_parser().parse_args(argv)
         except SystemExit as exc:  # help, or a usage error on stderr
             sys.stdout.write(printed.getvalue())
             code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

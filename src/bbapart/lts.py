@@ -33,6 +33,8 @@ class NonReflexiveLtsError(ValueError):
 
 
 _NAME_RE = re.compile(r'^[^\s"]+$')
+_HEADER = re.compile(r"\s*des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
+_STEP = re.compile(r'^\(\s*(\d+)\s*,\s*(.*?)\s*,\s*(\d+)\s*\)$')
 
 
 class HashConsed:
@@ -255,7 +257,7 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
     lines = text.splitlines()
     if not lines:
         raise AutParseError("empty input, expected des header", 1)
-    header = re.match(r"\s*des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$", lines[0])
+    header = _HEADER.match(lines[0])
     if not header:
         raise AutParseError(f"malformed header: {lines[0]!r}", 1)
     initial, _decl_trans, n_states = (int(g) for g in header.groups())
@@ -270,7 +272,7 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
         line = raw.strip()
         if not line:
             continue
-        m = re.match(r'^\(\s*(\d+)\s*,\s*(.*?)\s*,\s*(\d+)\s*\)$', line)
+        m = _STEP.match(line)
         if not m:
             if re.match(r'^\(\s*\d+\s*,\s*"[^"]*$', line):
                 raise AutParseError(f"unterminated label: {line!r}", lineno)
@@ -294,8 +296,11 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
 
 
 def render_aut(l: Lts, silent_label: str = "tau") -> str:
+    """The ``.aut`` text of ``l``; ``ValueError`` on a visible label named ``silent_label``."""
     lines = [f"des ({l.initial},{len(l.transitions)},{l.n_states})"]
     for src, label, dst in sorted(l.transitions, key=_step_order):
+        if not label.silent and label.name == silent_label:
+            raise ValueError(f"visible action {label.name!r} is named like the silent action")
         token = silent_label if label.silent else label.name
         lines.append(f'({src},"{token}",{dst})')
     return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
-"""``cli.main`` gives only the subcommands its argv names their arguments:
-every command line must be answered exactly as with the full parser."""
+"""``cli.main`` parses a command line with the parser of the subcommand it
+names alone, and falls back to the full parser for anything else: every
+command line must be answered exactly as with the full parser."""
 
-import pytest
+import argparse
 
 from bbapart import cli
-from bbapart.cli import build_parser, main
+from bbapart.cli import main
 
 from conftest import DATA
 
@@ -36,6 +37,15 @@ def argv_sequence(tmp_dir) -> list:
         ["random", "--states", "5", "--seed", "3", "-o", str(tmp_dir / "r.aut")],
         ["distinguish", "--lts", aut, *names, "s", "r"],
         ["check", "--lts", aut, "--kind", "branching", "0", "5"],
+        # A valid command with an argument left over: the top-level usage.
+        ["check", "--lts", aut, "--kind", "dbranching", "0", "5", "--bogus"],
+        ["--he"],
+        ["check", "--he"],
+        ["check", "--lts", aut, "--kind=strong", "0", "5"],
+        ["check", "--lts", aut, "--kind", "strong", "--", "0", "5"],
+        ["check", "--lts", aut, "--kind", "strong", "0", "parse"],
+        ["parse", "check"],
+        ["validate", "--count", "x"],
     ]
 
 
@@ -48,17 +58,44 @@ def _run(capsys, argv) -> tuple:
 def test_main_answers_as_the_full_parser(capsys, monkeypatch, tmp_path):
     sequence = argv_sequence(tmp_path)
     named = [_run(capsys, argv) for argv in sequence]
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build_parser())
+    # The reference: every command line through the full parser only.
+    monkeypatch.setattr(cli, "_command_args", lambda argv: None)
     full = [_run(capsys, argv) for argv in sequence]
-    assert named == full
+    for argv, got, want in zip(sequence, named, full):
+        assert got == want, argv
     # Every kind of answer is in the sequence: help, usage error, result.
     assert {code for code, _, _ in full} == {cli.EXIT_OK, cli.EXIT_USAGE}
     assert full[0][1].startswith("usage: bbapart")
+    err = next(err for argv, (_, _, err) in zip(sequence, full) if "--bogus" in argv)
+    assert err.startswith("usage: bbapart [-h]")
+    assert "unrecognized arguments: --bogus" in err
 
 
-def test_unnamed_subcommands_get_no_arguments(capsys):
-    parser = build_parser(["check"])
-    with pytest.raises(SystemExit):
-        parser.parse_args(["parse", "x.aut"])
-    assert "unrecognized arguments: x.aut" in capsys.readouterr().err
-    assert build_parser().parse_args(["parse", "x.aut"]).file == "x.aut"
+def _parsers_built(monkeypatch, argv) -> list:
+    """The ``prog`` of every ``ArgumentParser`` that ``main(argv)`` builds."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        assert main(argv) == cli.EXIT_OK, argv
+    finally:
+        monkeypatch.undo()
+    return built
+
+
+def test_a_valid_command_builds_one_parser(monkeypatch, capsys):
+    aut = str(DATA / "fixsr.aut")
+    assert _parsers_built(monkeypatch, ["check", "--lts", aut, "--kind", "dbranching",
+                                        "0", "5"]) == ["bbapart check"]
+    assert _parsers_built(monkeypatch, ["validate", "--lts", aut]) == ["bbapart validate"]
+    # Help still goes through the full parser, with every subcommand.
+    assert len(_parsers_built(monkeypatch, ["--help"])) == 1 + len(SUBCOMMANDS)
+    out = capsys.readouterr().out
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+    for sub in SUBCOMMANDS:
+        assert f"\n    {sub} " in out, sub
