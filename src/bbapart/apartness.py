@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .logic import _fold
-from .lts import TAU, Lts, _bits, _union, reflexive_closure, tau_closure
+from .lts import TAU, HashConsed, Lts, _bits, _union, reflexive_closure, tau_closure
 
 
 class InternalInvariantError(AssertionError):
@@ -250,16 +250,14 @@ TAG_RIGHT_FWD = "rightFwd"
 TAG_RIGHT_BWD = "rightBwd"
 
 
-@dataclass(frozen=True)
-class ChildStep:
+class ChildStep(HashConsed):
     q_prime: int
     q_dprime: int
     tag: str
     sub: "Derivation"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(HashConsed):
     """A certificate of directed branching apartness.
 
     Each node records the witness step p -label-> p1 and, for every pair

@@ -8,13 +8,10 @@ cross-checks are meaningful.  Each oracle runs once per LTS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lts import Lts, per_lts, reflexive_closure, tau_closure
+from .lts import HashConsed, Lts, per_lts, reflexive_closure, tau_closure
 
 
-@dataclass(frozen=True)
-class BisimRelation:
+class BisimRelation(HashConsed):
     n_states: int
     holds: frozenset  # of (p, q)
 

@@ -9,7 +9,6 @@ walk over a DAG (the derivation, or the formula), with no recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .apartness import (
@@ -43,7 +42,7 @@ from .logic import (
     p_or_all,
     sort_key,
 )
-from .lts import TAU, Lts, reflexive_closure, tau_closure
+from .lts import TAU, HashConsed, Lts, reflexive_closure, tau_closure
 
 
 class InvalidDerivationError(ValueError):
@@ -71,8 +70,7 @@ DIRECTION_RIGHT = "rightHolds"
 DIRECTION_NONE = "none"
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(HashConsed):
     distinguishes: bool
     direction: str
 

@@ -21,9 +21,10 @@ from .lts import TAU, ActionLabel, Lts
 
 
 def _action_name(i: int) -> str:
-    # a, b, ..., z, a1, b1, ...
-    letter = chr(ord("a") + i % 26)
-    return letter if i < 26 else f"{letter}{i // 26}"
+    # a, b, ..., z, a1, b1, ..., skipping i, so that no name is a silent
+    # token ("tau" or "i").
+    letter = "abcdefghjklmnopqrstuvwxyz"[i % 25]
+    return letter if i < 25 else f"{letter}{i // 25}"
 
 
 @dataclass(frozen=True)

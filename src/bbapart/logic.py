@@ -12,7 +12,6 @@ for conjuncts on the right of a diamond.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import compress
 
 from .lts import (
@@ -21,7 +20,6 @@ from .lts import (
     HashConsed,
     Lts,
     NonReflexiveLtsError,
-    _bits,
     constrained_tau_reach,
     reflexive_closure,
 )
@@ -39,7 +37,6 @@ class Formula(HashConsed):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Top(Formula):
     pass
 
@@ -52,18 +49,15 @@ def _children(f: Formula) -> tuple:
     return ()
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Neg(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Diamond(Formula):
     left: Formula
     label: ActionLabel
@@ -125,29 +119,24 @@ class PFormula(HashConsed):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class PTop(PFormula):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class PBot(PFormula):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class PAnd(PFormula):
     left: PFormula
     right: PFormula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class POr(PFormula):
     left: PFormula
     right: PFormula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class PDiamond(PFormula):
     """Encodes  left <label> (/\\ pos  /\\  /\\ ~neg);  empty lists mean T."""
 
@@ -200,7 +189,7 @@ def _p_children(f: PFormula) -> tuple:
 def _cached(f: PFormula, attr: str, children, make):
     """``make(g)`` for ``f``, stored on each node as the attribute ``attr``
     and computed once per node, children first.  The attribute is not a
-    dataclass field, so ``repr`` ignores it."""
+    field of the node, so ``repr`` ignores it."""
     def missing(g):
         return [c for c in children(g) if attr not in vars(c)]
 
@@ -378,12 +367,6 @@ class SatEvaluator:
         self.lts = l
         self._all = (1 << l.n_states) - 1
         self._memo: dict = {}
-        # Silent predecessors without the reflexive self-loops, which never
-        # extend a backward search, of the states entered by a silent step
-        # from another state; states with none are absent.
-        self._tau_entered = l.entered(TAU)
-        self._tau_pred = {q: tuple(_bits(l.preimage(TAU, 1 << q) & ~(1 << q)))
-                          for q in _bits(self._tau_entered)}
 
     @classmethod
     def of(cls, l: Lts) -> "SatEvaluator":
@@ -412,30 +395,12 @@ class SatEvaluator:
             elif isinstance(g, And):
                 memo[g] = memo[g.left] & memo[g.right]
             elif isinstance(g, Diamond):
-                memo[g] = self._diamond(memo[g.left], g.label, memo[g.right])
+                left = memo[g.left]
+                memo[g] = self.lts.reaching(
+                    self.lts.preimage(g.label, memo[g.right]) & left, left)
             else:
                 raise TypeError(g)
         return memo[f]
-
-    def _diamond(self, left: int, label: ActionLabel, right: int) -> int:
-        """States of ``left`` with a silent path inside ``left`` to a state
-        with a ``label``-step into ``right``: the label-preimage of
-        ``right`` in ``left``, then one backward BFS along silent steps."""
-        hit = self.lts.preimage(label, right) & left
-        if not hit & self._tau_entered:
-            return hit
-        n = self.lts.n_states
-        in_left = _flags(left, n)
-        found = bytearray(_flags(hit, n))
-        tau_pred = self._tau_pred
-        stack = list(compress(range(n), _flags(hit & self._tau_entered, n)))
-        while stack:
-            for p in tau_pred[stack.pop()]:
-                if in_left[p] and not found[p]:
-                    found[p] = 1
-                    if p in tau_pred:
-                        stack.append(p)
-        return int(found[::-1].translate(_FLAGS_TO_DIGITS), 2)
 
     def set(self, g: Formula) -> frozenset:
         return _members(self.mask(g), self.lts.n_states)
@@ -445,7 +410,6 @@ class SatEvaluator:
 
 
 _DIGITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-_FLAGS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _flags(mask: int, n: int) -> bytes:
@@ -519,8 +483,7 @@ def _p_sat(l: Lts, f: PFormula, memo: dict) -> int:
     return _fold(f, _p_children, build, memo)
 
 
-@dataclass(frozen=True)
-class DiamondWitness:
+class DiamondWitness(HashConsed):
     """A witness for p |= d<a>f: the tau-path, its endpoint, and the a-target."""
 
     path: tuple  # p = path[0] ->tau ... ->tau path[-1] = pre

@@ -38,12 +38,13 @@ _STEP = re.compile(r'^\(\s*(\d+)\s*,\s*(.*?)\s*,\s*(\d+)\s*\)$')
 
 
 class HashConsed:
-    """Hash-consing: calling a subclass returns the one live instance of it
-    with the same parts, compared by identity, so ``==`` is ``is`` and
-    hashing takes constant time; for formulas, equal formulas are one
-    object and a formula is a DAG by construction.  Each class keeps its
-    instances in a weak-value table, so an instance and its entry die
-    with the instance's last user."""
+    """Immutable value records, hash-consed: calling a subclass returns the
+    one live instance of it with the same parts (its annotated fields, in
+    order), compared by identity, so ``==`` is ``is`` and hashing takes
+    constant time; for formulas, equal formulas are one object and a
+    formula is a DAG by construction.  Each class keeps its instances in a
+    weak-value table, so an instance and its entry die with the instance's
+    last user.  Fields cannot be assigned, and ``repr`` names them."""
 
     __slots__ = ()
 
@@ -62,8 +63,16 @@ class HashConsed:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
+    def __repr__(self):
+        parts = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({parts})"
 
-@dataclass(frozen=True, eq=False, init=False)
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class ActionLabel(HashConsed):
     """An action: either the silent action or a named visible action.
 
@@ -94,7 +103,7 @@ class ActionLabel(HashConsed):
 
 TAU = ActionLabel()
 
-_NO_STEP_MASKS = (0, (), (), ())
+_NO_STEP_MASKS = (0, (), (), (), 0)
 
 
 def _bits(mask: int):
@@ -159,7 +168,8 @@ class Lts:
         of its steps; per label, its step masks in two forms: the mask of
         the states entered with, per state, the mask of its predecessors;
         and the diagonals, per offset d = q - p the shift n + d with the
-        mask of the sources p of a step p -> p + d."""
+        mask of the sources p of a step p -> p + d; last, the mask of the
+        states entered from another state."""
         n = self.n_states
         out = [[] for _ in range(n)]
         succ: dict = {}
@@ -174,7 +184,8 @@ class Lts:
             diagonals[q - p] = diagonals.get(q - p, 0) | 1 << p
         return (tuple(map(tuple, out)), {key: tuple(qs) for key, qs in succ.items()},
                 {label: (sum(1 << q for q, m in enumerate(preds) if m), tuple(preds),
-                         tuple(n + d for d in diagonals), tuple(diagonals.values()))
+                         tuple(n + d for d in diagonals), tuple(diagonals.values()),
+                         sum(1 << q for q, m in enumerate(preds) if m & ~(1 << q)))
                  for label, (preds, diagonals) in by_label.items()})
 
     def out(self, p: int) -> tuple:
@@ -193,8 +204,7 @@ class Lts:
     def entered(self, label: ActionLabel) -> int:
         """The mask of the states entered by a ``label``-step from another
         state."""
-        preds = self._steps[2].get(label, _NO_STEP_MASKS)[1]
-        return sum(1 << q for q, m in enumerate(preds) if m & ~(1 << q))
+        return self._steps[2].get(label, _NO_STEP_MASKS)[4]
 
     def preimage(self, label: ActionLabel, x: int) -> int:
         """The states with a ``label``-step into the bitmask ``x`` (bit
@@ -203,7 +213,7 @@ class Lts:
         Each call takes the cheaper of two unions: the predecessor masks of
         the targets in ``x``, one per target, or ``x`` shifted along each
         diagonal and masked by its sources, one per diagonal, in C."""
-        targets, preds, shifts, diagonals = \
+        targets, preds, shifts, diagonals, _ = \
             self._steps[2].get(label, _NO_STEP_MASKS)
         hit = x & targets
         if hit.bit_count() <= len(shifts):
@@ -211,6 +221,19 @@ class Lts:
         # Bit q of hit << n, shifted down by n + d, lands on bit q - d.
         return reduce(or_, map(and_, map(rshift, repeat(hit << self.n_states),
                                          shifts), diagonals), 0)
+
+    def reaching(self, x: int, within: int) -> int:
+        """``x`` plus the states of the bitmask ``within`` with a silent
+        path into ``x`` through states of ``within``: a backward search by
+        :meth:`preimage`, which only the states entered by a silent step
+        from another state extend, so its frontiers hold n bits at most."""
+        entered = self.entered(TAU)
+        frontier = x & entered
+        while frontier:
+            frontier = self.preimage(TAU, frontier) & within & ~x
+            x |= frontier
+            frontier &= entered
+        return x
 
     @cached_property
     def has_reflexive_silent_steps(self) -> bool:
@@ -338,13 +361,13 @@ def reflexive_closure(l: Lts) -> Lts:
     return Lts(l.n_states, l.transitions | loops, l.initial, l.names)
 
 
-@dataclass(frozen=True)
 class TauClosure:
-    """Reflexive-transitive silent reachability, plus the (q', q'') pairs
-    reachable as q ->>tau q' ->alpha q'' for each (q, alpha)."""
+    """Reflexive-transitive silent reachability (``reach[q]``: the frozenset
+    of the states tau-reachable from q, q included), plus the (q', q'')
+    pairs reachable as q ->>tau q' ->alpha q'' for each (q, alpha)."""
 
-    lts: Lts
-    reach: tuple  # per state, frozenset of tau-reachable states (incl. itself)
+    def __init__(self, lts: Lts, reach: tuple):
+        self.lts, self.reach = lts, reach
 
     def triples(self, q: int, label: ActionLabel) -> tuple:
         """Sorted (q', q'') with q ->>tau q' -label-> q''."""

@@ -336,9 +336,9 @@ class PropertyResult:
         return entry
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    entries: tuple
+    def __init__(self, entries: tuple):
+        self.entries = entries
 
     @property
     def ok(self) -> bool:

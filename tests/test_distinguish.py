@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import time
 
@@ -6,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbapart import distinguish
-from bbapart.apartness import directed_branching_apartness, extract_derivation
+from bbapart.apartness import (
+    ChildStep,
+    Derivation,
+    directed_branching_apartness,
+    extract_derivation,
+)
 from bbapart.distinguish import (
     InvalidDerivationError,
     NotDistinguishingError,
@@ -94,14 +98,16 @@ def test_formula_from_derivation_fixg2(fixg2):
 def test_formula_from_derivation_rejects_corruption(fixsr):
     rel = directed_branching_apartness(fixsr)
     d = extract_derivation(fixsr, rel, s(fixsr, "s"), s(fixsr, "r"))
-    bad_witness = dataclasses.replace(d, witness=(d.witness[0], D, d.witness[2]))
+    bad_witness = Derivation(d.left, d.right, (d.witness[0], D, d.witness[2]),
+                             d.children)
     with pytest.raises(InvalidDerivationError):
         formula_from_derivation(fixsr, bad_witness)
-    bad_children = dataclasses.replace(d, children=())
+    bad_children = Derivation(d.left, d.right, d.witness, ())
     with pytest.raises(InvalidDerivationError):
         formula_from_derivation(fixsr, bad_children)
-    bad_tag = dataclasses.replace(
-        d, children=(dataclasses.replace(d.children[0], tag="rightFwd"),))
+    c = d.children[0]
+    bad_tag = Derivation(d.left, d.right, d.witness,
+                         (ChildStep(c.q_prime, c.q_dprime, "rightFwd", c.sub),))
     with pytest.raises(InvalidDerivationError):
         formula_from_derivation(fixsr, bad_tag)
 

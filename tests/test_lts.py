@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bbapart.generate import GenParams, random_lts
 from bbapart.lts import (
@@ -15,6 +15,7 @@ from bbapart.lts import (
 )
 
 from conftest import s
+from test_kernel import ltss
 
 
 def test_parse_minimal():
@@ -147,3 +148,32 @@ def test_indices_agree_on_fixtures(stem, request):
 @given(st.integers(min_value=0, max_value=2**32), st.integers(1, 12))
 def test_indices_agree_on_random_lts(seed, n):
     _assert_indices_agree(random_lts(GenParams(n_states=n, seed=seed)))
+
+
+def _reaching_by_search(l, x, within):
+    """``x`` plus the states of ``within`` with a silent path into ``x``
+    through states of ``within``, by a backward search over state sets."""
+    found = {q for q in range(l.n_states) if x >> q & 1}
+    stack = list(found)
+    while stack:
+        q = stack.pop()
+        for p, label, dst in l.transitions:
+            if label == TAU and dst == q and within >> p & 1 and p not in found:
+                found.add(p)
+                stack.append(p)
+    return sum(1 << q for q in found)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reaching_matches_a_set_based_search(data):
+    l = data.draw(ltss())
+    n, full = l.n_states, (1 << l.n_states) - 1
+    # Masks that leave out one state or a random part cut silent paths.
+    masks = st.one_of(st.just(full), st.integers(0, full),
+                      st.integers(0, n - 1).map(lambda p: full & ~(1 << p)))
+    within = data.draw(masks)
+    x = data.draw(st.one_of(st.just(0), masks))
+    for m in (l, reflexive_closure(l)):
+        for y in (x, x & within):
+            assert m.reaching(y, within) == _reaching_by_search(m, y, within)

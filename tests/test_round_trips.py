@@ -49,16 +49,19 @@ def test_a_visible_label_named_like_the_silent_token_is_refused(silent):
 
 
 def test_random_writes_no_action_named_like_the_silent_token(capsys, tmp_path):
-    # The ninth action is named i.
+    # Nine actions: the ninth is named j, since the names skip i.
     argv = ["random", "--states", "2", "--actions", "9", "--vdensity", "9",
-            "--tdensity", "0", "--tau-label", "i", "--seed", "1"]
+            "--tdensity", "0", "--seed", "1", "--tau-label"]
     out = tmp_path / "r.aut"
-    for extra in ([], ["-o", str(out)]):
-        assert main(argv + extra) == EXIT_USAGE
-        assert capsys.readouterr() == (
-            "", "error: visible action 'i' is named like the silent action\n")
-    assert not out.exists()
-    assert main(argv[:-4] + argv[-2:]) == 0  # the same LTS, silent token tau
+    for silent in SILENT_TOKENS:
+        assert main(argv + [silent]) == 0
+        text, err = capsys.readouterr()
+        assert err == ""
+        assert main(argv + [silent, "-o", str(out)]) == 0
+        assert out.read_text() == text
+        l = parse_aut(text, "i")
+        assert TAU not in l.actions and ActionLabel("i") not in l.actions
+        assert len(l.visible_actions) == 9
 
 
 @settings(max_examples=200, deadline=None)
