@@ -369,9 +369,9 @@ def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int,
 def check_tau_extension(l: Lts, rel: DirectedPairRelation) -> list:
     """Violations of the silent-extension theorem: p ->>tau p', q ->>tau q',
     (p', q) held but (p, q') not.  Always empty for a correct engine."""
-    reach = tau_closure(reflexive_closure(l)).reach
+    forward, rows = tau_closure(reflexive_closure(l)).forward, rel.rows
     states = range(l.n_states)
     return [{"p": p, "pPrime": p1, "q": q, "qPrime": q1}
             for p in states for q in states
-            for p1 in reach[p] if (p1, q) in rel
-            for q1 in reach[q] if (p, q1) not in rel]
+            for p1 in _bits(forward[p]) if rows[p1] >> q & 1
+            for q1 in _bits(forward[q] & ~rows[p])]

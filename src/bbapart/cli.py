@@ -130,6 +130,16 @@ def _emit(payload) -> int:
     return EXIT_OK
 
 
+def _complain(text: str) -> None:
+    """Write ``text`` to stderr; if that fails, drop stderr so that its flush
+    at exit cannot fail again: the command keeps its exit code and stdout."""
+    try:
+        sys.stderr.write(text)  # None when the process started without it
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        sys.stderr = open(os.devnull, "w")
+
+
 def cmd_parse(args) -> int:
     l = _load_lts(args)
     silent = sum(1 for _, label, _ in l.transitions if label.silent)
@@ -146,8 +156,8 @@ def cmd_parse(args) -> int:
 def cmd_check(args) -> int:
     l = _load_lts(args)
     if args.kind in ("strong", "dstrong") and TAU in l.actions:
-        print("warning: strong relations treat the silent action as an "
-              "ordinary label on this LTS", file=sys.stderr)
+        _complain("warning: strong relations treat the silent action as an "
+                  "ordinary label on this LTS\n")
     p, q = _state(l, args.p), _state(l, args.q)
     return _emit(check_pair(l, args.kind, p, q, nonreflexive=args.nonreflexive))
 
@@ -360,11 +370,12 @@ def _command_args(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        printed = io.StringIO()  # argparse would ignore a failed write
+        printed, usage = io.StringIO(), io.StringIO()  # argparse ignores a failed write
         try:
-            with contextlib.redirect_stdout(printed):
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(usage):
                 args = _command_args(argv) or build_parser().parse_args(argv)
         except SystemExit as exc:  # help, or a usage error on stderr
+            _complain(usage.getvalue())
             sys.stdout.write(printed.getvalue())
             code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         else:
@@ -380,10 +391,10 @@ def main(argv=None) -> int:
                 os.close(devnull)
             if isinstance(exc, BrokenPipeError):
                 sys.stdout = open(os.devnull, "w")
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}\n")
         return EXIT_USAGE
     except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _complain(f"internal error: {exc}\n")
         return EXIT_INTERNAL
 
 if __name__ == "__main__":

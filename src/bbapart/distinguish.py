@@ -20,7 +20,6 @@ from .apartness import (
 )
 from .logic import (
     And,
-    Diamond,
     Formula,
     Neg,
     PBot,
@@ -42,7 +41,7 @@ from .logic import (
     p_or_all,
     sort_key,
 )
-from .lts import TAU, HashConsed, Lts, reflexive_closure, tau_closure
+from .lts import TAU, HashConsed, Lts, _bits, reflexive_closure, tau_closure
 
 
 class InvalidDerivationError(ValueError):
@@ -60,7 +59,7 @@ class FormulaTooDeepError(ValueError):
 
 # HMLU -> P synthesis nests each diamond's realized sides in every stage, so
 # its time and output outgrow the formula: nested `<a>` on an a-chain takes
-# 0.5 s for 0.47 MB at depth 150 and 15 s for 7.3 MB at 600 (Python 3.11,
+# 0.23 s for 0.47 MB at depth 150 and 5.4 s for 7.3 MB at 600 (Python 3.11,
 # one Xeon core).  Deeper formulas are refused to keep answers small.
 MAX_SYNTHESIS_DEPTH = 200
 
@@ -183,10 +182,11 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
     """Synthesize a P-formula separating p and q from any distinguishing
     HMLU formula.
 
-    One bottom-up walk over ``phi`` gives each diamond, per state r that
-    satisfies it, three candidates from r's witness path; which one
-    separates r from a state s depends only on whether s satisfies two of
-    them, so whole sets of pairs are answered by mask tests.  Raises
+    A walk down from (phi, {p}, {q}) records, per diamond, the satisfiers
+    some pair reaches; a walk up ``phi`` gives each three candidates from
+    its witness path.  Which one separates a satisfier r from a state s
+    depends only on whether s satisfies two of them, so whole sets of
+    pairs are answered by mask tests.  Raises
     :class:`NotDistinguishingError` when ``phi`` separates neither
     direction, and :class:`FormulaTooDeepError` when it is nested deeper
     than :data:`MAX_SYNTHESIS_DEPTH`.
@@ -203,16 +203,18 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
     if not ev.holds(p, phi) or ev.holds(q, phi):
         raise NotDistinguishingError(
             f"formula does not distinguish states {p} and {q}")
-    candidates: dict = {}  # id of a diamond -> one entry per satisfier
+    needed: dict = {}  # diamond -> mask of the satisfiers some pair reaches
+    candidates: dict = {}  # id of a diamond -> one entry per needed satisfier
     realized: dict = {}
 
     def mask(g: PFormula) -> int:
         return ev.mask(p_embed(g))
 
-    def separate(f: Formula, left: int, right: int) -> list:
-        """The formulas separating each state of ``left``, which satisfy
-        ``f``, from each state of ``right``, which do not (with repeats)."""
-        out, seen, stack = [], set(), [(f, left, right)]
+    def leaves(stack: list):
+        """From each (f, left, right) on ``stack``, where ``left`` satisfies
+        f and ``right`` does not, the diamonds (g, left, right) separating
+        them; the caller may push more items between two of them."""
+        seen = set()
         while stack:
             g, left, right = item = stack.pop()
             if not left or not right or item in seen:
@@ -225,16 +227,23 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
                 m = ev.mask(g.left)
                 stack += [(g.left, left, right & ~m), (g.right, left, right & m)]
             else:
-                # Each pair (r, s) takes delta-minus if s satisfies it, else
-                # delta-plus if s fails that, else r's stage chain.
-                for r, minus, m_minus, plus, m_plus, chain in candidates[id(g)]:
-                    if left >> r & 1:
-                        if right & m_minus:
-                            out.append(minus)
-                        if right & ~m_minus & ~m_plus:
-                            out.append(plus)
-                        if right & ~m_minus & m_plus:
-                            out.append(chain)
+                yield g, left, right
+
+    def separate(f: Formula, left: int, right: int) -> list:
+        """The formulas separating each state of ``left``, which satisfy
+        ``f``, from each state of ``right``, which do not (with repeats)."""
+        out = []
+        for g, left, right in leaves([(f, left, right)]):
+            # Each pair (r, s) takes delta-minus if s satisfies it, else
+            # delta-plus if s fails that, else r's stage chain.
+            for r, minus, m_minus, plus, m_plus, chain in candidates[id(g)]:
+                if left >> r & 1:
+                    if right & m_minus:
+                        out.append(minus)
+                    if right & ~m_minus & ~m_plus:
+                        out.append(plus)
+                    if right & ~m_minus & m_plus:
+                        out.append(chain)
         return out
 
     def realize(sub: Formula) -> tuple:
@@ -249,11 +258,11 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
                 tuple(g for g in formulas if not mask(g) >> r & 1))
 
     def build(f: Formula, _) -> list:
-        if not isinstance(f, Diamond):
+        if f not in needed:
             return []
         p_delta, p_psi = realize(f.left), realize(f.right)
         entries = []
-        for r in sorted(ev.set(f)):
+        for r in _bits(needed[f]):
             w = diamond_witness(l, r, f.left, f.label, f.right)
             if w is None:
                 raise InternalInvariantError("no witness for a satisfied diamond")
@@ -271,6 +280,11 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
             entries.append((r, minus, mask(minus), plus, mask(plus), chain))
         return entries
 
+    # A satisfier some pair reaches needs its diamond's sides realized.
+    stack = [(phi, 1 << p, 1 << q)]
+    for g, left, _ in leaves(stack):
+        needed[g] = needed.get(g, 0) | left
+        stack += [(h, ev.mask(h), ev.mask(Neg(h))) for h in (g.left, g.right)]
     _fold(phi, _children, build, candidates)
     result, = separate(phi, 1 << p, 1 << q)
     check = verify_distinguishes(l, p_embed(result), p, q)

@@ -501,32 +501,23 @@ def diamond_witness(l: Lts, p: int, delta: Formula, label: ActionLabel,
     """
     ev = SatEvaluator.of(l)
     l = ev.lts
-    s_delta = ev.set(delta)
-    s_psi = ev.set(psi)
-    if p not in s_delta:
+    s_delta, s_psi = ev.mask(delta), ev.mask(psi)
+    if not s_delta >> p & 1:
         return None
-    # BFS over s_delta, visiting successors in index order.
-    parent = {p: None}
-    frontier = [p]
-    order = [p]
-    while frontier:
-        nxt_frontier = []
-        for cur in frontier:
-            for dst in l.succ(cur, TAU):
-                if dst in s_delta and dst not in parent:
-                    parent[dst] = cur
-                    nxt_frontier.append(dst)
-                    order.append(dst)
-        frontier = nxt_frontier
-    for pre in order:  # BFS order: shortest first, then smallest index
-        hits = sorted(dst for dst in l.succ(pre, label) if dst in s_psi)
-        if hits:
-            path = []
-            cur = pre
-            while cur is not None:
-                path.append(cur)
-                cur = parent[cur]
-            return DiamondWitness(tuple(reversed(path)), pre, hits[0])
+    # BFS over s_delta, visiting successors in index order, so the first
+    # state with a step into psi ends a shortest path, of smallest indices.
+    parent, queue = {p: None}, [p]
+    for pre in queue:  # the queue grows while it is read
+        post = next((q for q in l.succ(pre, label) if s_psi >> q & 1), None)
+        if post is not None:
+            path = [pre]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return DiamondWitness(tuple(reversed(path)), pre, post)
+        for dst in l.succ(pre, TAU):
+            if s_delta >> dst & 1 and dst not in parent:
+                parent[dst] = pre
+                queue.append(dst)
     return None
 
 

@@ -12,7 +12,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import count, repeat
 from operator import and_, or_, rshift
 from pathlib import Path
 
@@ -362,56 +362,90 @@ def reflexive_closure(l: Lts) -> Lts:
 
 
 class TauClosure:
-    """Reflexive-transitive silent reachability (``reach[q]``: the frozenset
-    of the states tau-reachable from q, q included), plus the (q', q'')
-    pairs reachable as q ->>tau q' ->alpha q'' for each (q, alpha)."""
+    """Silent reachability as bitmasks: ``forward[q]`` holds the states
+    q ->>tau reaches, q included, and ``back[q]`` those that reach q; the
+    (q', q'') with q ->>tau q' -alpha-> q'' are built per (q, alpha)."""
 
-    def __init__(self, lts: Lts, reach: tuple):
-        self.lts, self.reach = lts, reach
+    def __init__(self, lts: Lts, forward: tuple, components: list):
+        self.lts, self.forward, self._components, self._triples = lts, forward, components, {}
 
     def triples(self, q: int, label: ActionLabel) -> tuple:
-        """Sorted (q', q'') with q ->>tau q' -label-> q''."""
-        return self._triple_map.get((q, label), ())
-
-    @cached_property
-    def _triple_map(self) -> dict:
-        result: dict = {}
-        for q in range(self.lts.n_states):
-            for q1 in self.reach[q]:
-                for label, q2 in self.lts.out(q1):
-                    result.setdefault((q, label), set()).add((q1, q2))
-        return {k: tuple(sorted(v)) for k, v in result.items()}
+        """Sorted (q', q'') with q ->>tau q' -label-> q'', built on first use."""
+        found = self._triples.get((q, label))
+        if found is None:
+            found = self._triples[q, label] = tuple(
+                (q1, q2) for q1 in _bits(self.forward[q]) for q2 in self.lts.succ(q1, label))
+        return found
 
     @cached_property
     def back(self) -> tuple:
-        """Per state ``q'``, the bitmask of the states ``q`` with
-        ``q ->>tau q'``."""
-        back = [0] * self.lts.n_states
-        for q, reach in enumerate(self.reach):
-            for q1 in reach:
-                back[q1] |= 1 << q
+        """Per state q, the mask of the states that reach q, sources first."""
+        back, succ = [0] * self.lts.n_states, self.lts._steps[1].get
+        for members in reversed(self._components):
+            mask = reduce(or_, (1 << m | back[m] for m in members))
+            for m in members:
+                back[m] = mask
+                for w in succ((TAU, m), ()):
+                    back[w] |= mask
         return tuple(back)
+
+    @cached_property
+    def reach(self) -> tuple:
+        """Per state q, the frozenset of ``forward[q]``."""
+        return tuple(frozenset(_bits(m)) for m in self.forward)
 
 
 @per_lts
 def tau_closure(l: Lts) -> TauClosure:
-    """Silent reachability of ``l``, computed once per LTS."""
-    states = range(l.n_states)
-    every = frozenset(states)
-    return TauClosure(l, tuple(_tau_reach(l, p, every) for p in states))
+    """Silent reachability of ``l``, once per LTS: Tarjan's strongly connected
+    components of the silent steps, each found after every component it
+    reaches, so its forward mask takes one OR per step leaving it."""
+    n, succ = l.n_states, l._steps[1].get
+    # Per state: DFS number from 1 (0 while unvisited, n + 1 once its
+    # component is done), low link, and forward mask, whole once done.
+    order, low, forward = [0] * n, [0] * n, [0] * n
+    stack, components, visits = [], [], count(1)  # components: members, sinks first
+    for root in range(n):
+        if order[root]:
+            continue
+        order[root] = low[root] = next(visits)
+        stack.append(root)
+        work = [(root, iter(succ((TAU, root), ())))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if not order[w]:
+                    order[w] = low[w] = next(visits)
+                    stack.append(w)
+                    work.append((w, iter(succ((TAU, w), ()))))
+                    break
+                forward[v] |= forward[w]  # w done, or in v's component
+                low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if low[v] == order[v]:  # v is the first of its component
+                    members, mask, w = [], 0, None
+                    while w != v:
+                        w = stack.pop()
+                        members.append(w)
+                        mask |= 1 << w | forward[w]
+                    for m in members:
+                        forward[m], order[m] = mask, n + 1
+                    components.append(members)
+                if work:
+                    u = work[-1][0]
+                    forward[u] |= forward[v]
+                    low[u] = min(low[u], low[v])
+    return TauClosure(l, tuple(forward), components)
 
 
 def constrained_tau_reach(l: Lts, p: int, allowed) -> frozenset:
     """States reachable from ``p`` along tau-paths lying entirely inside
     ``allowed`` (both endpoints included).  Empty if ``p`` is not allowed."""
     allowed = frozenset(allowed)
-    return _tau_reach(l, p, allowed) if p in allowed else frozenset()
-
-
-def _tau_reach(l: Lts, p: int, allowed: frozenset) -> frozenset:
-    """:func:`constrained_tau_reach` for an allowed ``p``."""
-    seen = {p}
-    frontier = [p]
+    if p not in allowed:
+        return frozenset()
+    seen, frontier = {p}, [p]
     while frontier:
         cur = frontier.pop()
         for nxt in l.succ(cur, TAU):

@@ -122,31 +122,21 @@ def tau_extension_violations(l: Lts) -> list:
 def apartness_stuttering_violations(l: Lts) -> list:
     """If r ->>tau p ->>tau t and p is branching-apart from q, then r or t
     is branching-apart from q."""
-    apart = ap.branching_apartness(l)
-    reach = tau_closure(reflexive_closure(l)).reach
-    out = []
-    for r in range(l.n_states):
-        for p in reach[r]:
-            for t in reach[p]:
-                for q in range(l.n_states):
-                    if ((p, q) in apart and (r, q) not in apart
-                            and (t, q) not in apart):
-                        out.append({"r": r, "p": p, "t": t, "q": q})
-    return out
+    rows = ap.branching_apartness(l).rows
+    forward = tau_closure(reflexive_closure(l)).forward
+    return [{"r": r, "p": p, "t": t, "q": q} for r in range(l.n_states)
+            for p in _bits(forward[r]) for t in _bits(forward[p])
+            for q in _bits(rows[p] & ~rows[r] & ~rows[t])]
 
 
 def bisim_stuttering_violations(l: Lts) -> list:
     """If p ->>tau r ->>tau q and p, q are branching bisimilar, so are
     p and r."""
     bisim_rel = bs.branching_bisimilarity(l)
-    reach = tau_closure(reflexive_closure(l)).reach
-    out = []
-    for p in range(l.n_states):
-        for r in reach[p]:
-            for q in reach[r]:
-                if (p, q) in bisim_rel and (p, r) not in bisim_rel:
-                    out.append({"p": p, "r": r, "q": q})
-    return out
+    forward = tau_closure(reflexive_closure(l)).forward
+    return [{"p": p, "r": r, "q": q} for p in range(l.n_states)
+            for r in _bits(forward[p]) if (p, r) not in bisim_rel
+            for q in _bits(forward[r]) if (p, q) in bisim_rel]
 
 
 def conjunction_violations(l: Lts) -> list:

@@ -1,4 +1,5 @@
 import functools
+import json
 import time
 
 import pytest
@@ -43,7 +44,8 @@ from bbapart.logic import (
     p_or_all,
     parse_formula,
 )
-from bbapart.lts import ActionLabel, Lts, TAU, reflexive_closure
+from bbapart.cli import main
+from bbapart.lts import ActionLabel, Lts, TAU, reflexive_closure, render_aut
 from bbapart.validate import distinguish_pair
 
 from conftest import s
@@ -314,6 +316,28 @@ def test_pformula_from_hmlu_finds_one_witness_per_satisfier(monkeypatch):
     out = pformula_from_hmlu(l, phi, 0, 1)
     assert verify_distinguishes(l, p_embed(out), 0, 1).direction == "leftHolds"
     assert len(calls) <= n * (n + 1) // 2
+
+
+def test_convert_finds_witnesses_only_for_the_pairs_it_separates(
+        capsys, monkeypatch, tmp_path):
+    # An a-chain of 150 steps with a b-loop at 0: the pair (0, 1) is
+    # separated by <b> T alone, so the 150 nested diamonds, with 11,325
+    # satisfiers in all, need no witness.
+    n = 150
+    aut = tmp_path / "chain.aut"
+    aut.write_text(render_aut(Lts(n + 1, frozenset(
+        {(i, A, i + 1) for i in range(n)} | {(0, B, 0)}))))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return diamond_witness(*args)
+
+    monkeypatch.setattr(distinguish, "diamond_witness", counting)
+    formula = "(<b> T | " + "<a> " * n + "T)"
+    assert main(["convert", "--lts", str(aut), "--formula", formula, "0", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["formula"] == "<b> T"
+    assert len(calls) <= 2
 
 
 def test_distinguish_pair_reaches_canonical_key_through_its_module(

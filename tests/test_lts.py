@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from bbapart.lts import (
     render_aut,
     tau_closure,
 )
+from bbapart.validate import check_pair
 
 from conftest import s
 from test_kernel import ltss
@@ -93,6 +96,42 @@ def test_constrained_tau_reach(fixsr):
     reach = tau_closure(closed).reach
     for p in every:
         assert constrained_tau_reach(closed, p, every) == reach[p]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ltss(), st.booleans())
+def test_tau_closure_matches_a_set_based_search(l, closed):
+    # Silent cycles included: the closure collapses them first.
+    if closed:
+        l = reflexive_closure(l)
+    tc = tau_closure(l)
+    states = range(l.n_states)
+    reach = [constrained_tau_reach(l, q, states) for q in states]
+    assert tc.forward == tuple(sum(1 << q1 for q1 in r) for r in reach)
+    assert tc.back == tuple(sum(1 << q for q in states if q1 in reach[q])
+                            for q1 in states)
+    assert tc.reach == tuple(reach)
+    for q in states:
+        for label in (TAU, *l.visible_actions, ActionLabel("c")):
+            assert tc.triples(q, label) == tuple(sorted(
+                (q1, q2) for q1 in reach[q] for a, q2 in l.out(q1) if a is label))
+
+
+def test_dbranching_check_on_a_long_silent_chain_stays_small():
+    # 0 -tau-> 1 -tau-> ... -tau-> 4000 -a-> 4000: every state is bisimilar
+    # to the last.  Silent reachability holds about 8 million pairs; as
+    # one mask per state it takes a few MB.
+    n = 4000
+    l = Lts(n + 1, frozenset({(i, TAU, i + 1) for i in range(n)}
+                             | {(n, ActionLabel("a"), n)}))
+    tracemalloc.start()
+    try:
+        result = check_pair(l, "dbranching", 0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["bisimilar"] is True
+    assert peak < 40_000_000
 
 
 def test_state_name_resolution(fixsr):

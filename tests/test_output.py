@@ -169,3 +169,59 @@ def test_help_and_output_on_a_full_device_exit_2(argv, unbuffered):
                               env=env, timeout=60)
     assert (done.returncode, done.stderr) == (
         cli.EXIT_USAGE, "error: [Errno 28] No space left on device\n")
+
+
+def _bbapart_env(unbuffered: str) -> dict:
+    src = str(Path(bbapart.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+FIXSR = str(DATA / "fixsr.aut")
+STRONG_CHECK = ["check", "--lts", FIXSR, "--kind", "strong", "0", "5"]
+BAD_STATE = ["mc", "--lts", FIXSR, "--state", "99", "--formula", "T"]
+
+
+# With stderr buffered, a line left in its buffer by a failed write makes
+# the flush at exit fail too, and the process exit 120, unless stderr is
+# dropped first; so every case runs buffered and unbuffered.
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("redirect", [
+    "2>&-",            # started without file descriptor 2: sys.stderr is None
+    "2</dev/null",     # descriptor 2 open for reading only: every write fails
+    pytest.param("2>/dev/full", marks=pytest.mark.skipif(
+        not Path("/dev/full").exists(), reason="needs /dev/full"))])
+@pytest.mark.parametrize("argv,code,answers", [
+    (STRONG_CHECK, cli.EXIT_OK, True),  # its warning is lost, not its answer
+    (BAD_STATE, cli.EXIT_USAGE, False),
+    (["check", "--bogus"], cli.EXIT_USAGE, False)])
+def test_a_failed_stderr_keeps_the_exit_code_and_stdout(argv, code, answers,
+                                                        redirect, unbuffered):
+    done = subprocess.run(["sh", "-c", f'exec "$0" "$@" {redirect}',
+                           sys.executable, "-m", "bbapart", *argv],
+                          stdout=subprocess.PIPE, text=True,
+                          env=_bbapart_env(unbuffered), timeout=60)
+    assert done.returncode == code
+    if answers:
+        assert json.loads(done.stdout) == {"kind": "strong", "apart": True,
+                                           "apartReverse": True, "bisimilar": False}
+    else:
+        assert done.stdout == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [
+    STRONG_CHECK, BAD_STATE, ["--help"], ["check", "--bogus"],
+    ["check", "--lts", FIXSR, "--kind", "dbranching", "0", "5"]])
+def test_stdout_and_stderr_on_one_closed_pipe_exit_2(argv, unbuffered):
+    # Nothing can be written anywhere: the exit code is all that is left.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "bbapart", *argv],
+                              stdout=write, stderr=write,
+                              env=_bbapart_env(unbuffered), timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == cli.EXIT_USAGE
