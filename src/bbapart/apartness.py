@@ -5,16 +5,29 @@ All engines share one round-based bottom-up saturation kernel: each round
 evaluates the rule body for every ordered pair against the previous
 round's relation, so round stamps are deterministic and certificate
 extraction is well-founded.  The relation is kept as one bitmask of
-states per state and per round, and a rule evaluates a row at once.
+states per state, and a rule evaluates a row at once; each pair's round
+stamp is one compact cell.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from .logic import _fold
 from .lts import TAU, HashConsed, Lts, _bits, _union, reflexive_closure, tau_closure
+
+# A round with at least this many fresh pairs per state is dense: its
+# columns come from one packed transpose and its stamps from block
+# arithmetic.  Sparser rounds walk their fresh bits, which costs less
+# below it (measured on seeded random LTSs of 32 to 1,024 states).
+_DENSE = 8
+# Cells per block of a dense round's stamp writes, which bounds the size
+# of their temporaries.
+_BLOCK = 1 << 16
+_ZERO_ONE = str.maketrans("01", "\0\1")
 
 
 class InternalInvariantError(AssertionError):
@@ -28,28 +41,26 @@ class PairNotHeldError(ValueError):
 @dataclass(frozen=True)
 class DirectedPairRelation:
     """A relation over ordered state pairs: ``rows[p]`` is the bitmask of
-    the q with (p, q) held, and ``layers[r][p]`` the mask of those first
-    derived in round r + 1 (the round stamp).  ``holds`` (the pairs),
-    ``rounds`` (pair to stamp) and :meth:`stamps` are computed on demand."""
+    the q with (p, q) held, and ``cells[p * n_states + q]`` the round that
+    first derived (p, q), its stamp, or 0 if it is not held: one compact
+    cell per pair (an ``array`` of 2 bytes, or of 4 from round 65,536, and
+    empty while no pair is held).  The views ``holds`` (the pairs),
+    ``rounds`` (pair to stamp), ``layers`` (per round, the rows' masks of
+    its pairs) and :meth:`stamps` are computed on demand; only tests and
+    digests read ``layers``."""
 
     n_states: int
     rows: tuple  # of int
-    layers: tuple = field(compare=False)  # of tuples of int
+    cells: array = field(compare=False)
 
     def __contains__(self, pair) -> bool:
         p, q = pair
         return 0 <= p < self.n_states and 0 <= q and self.rows[p] >> q & 1 == 1
 
     def stamps(self, p: int) -> list:
-        """Per state q, the round that first derived (p, q), 0 if none;
-        kept per row p once computed."""
-        memo = self.__dict__.setdefault("_stamps", {})
-        if p not in memo:
-            out = memo[p] = [0] * self.n_states
-            for r, layer in enumerate(self.layers, 1):
-                for q in _bits(layer[p]):
-                    out[q] = r
-        return memo[p]
+        """Per state q, the round that first derived (p, q), 0 if none."""
+        n = self.n_states
+        return self.cells[p * n:(p + 1) * n].tolist() or [0] * n
 
     @functools.cached_property
     def holds(self) -> frozenset:
@@ -59,18 +70,83 @@ class DirectedPairRelation:
 
     @functools.cached_property
     def rounds(self) -> dict:
-        return {(p, q): r for p in range(self.n_states)
-                for q, r in enumerate(self.stamps(p)) if r}
+        return {divmod(i, self.n_states): r for i, r in enumerate(self.cells) if r}
+
+    @functools.cached_property
+    def layers(self) -> tuple:
+        """``layers[r - 1][p]``: the mask of the q whose pair (p, q) has
+        stamp r."""
+        out = [[0] * self.n_states for _ in range(max(self.cells, default=0))]
+        for (p, q), r in self.rounds.items():
+            out[r - 1][p] |= 1 << q
+        return tuple(map(tuple, out))
 
 
 class _Progress:
     """A least fixpoint as far as it has run: the rows, the columns (the
-    rows, for a symmetric relation) and the layers of its rounds so far,
-    and ``done`` once a round finds nothing new.  It only grows."""
+    rows, for a symmetric relation), the stamp cells and the number of
+    rounds so far, and ``done`` once a round finds nothing new.  It only
+    grows."""
 
     def __init__(self, n: int, symmetric: bool):
-        self.rows, self.layers, self.done = [0] * n, [], False
+        self.rows, self.round, self.done = [0] * n, 0, False
         self.cols = self.rows if symmetric else [0] * n
+        self.cells = array("H")  # sized by the first round that adds a pair
+
+
+@functools.lru_cache(maxsize=4)
+def _swap_masks(stride: int) -> tuple:
+    """The (shift, mask) delta swaps that transpose a ``stride`` x
+    ``stride`` bit matrix packed row by row into an int: the one for
+    index bit j swaps the bit j of each position's row with the bit j of
+    its column, so the mask holds the positions with it clear in the row
+    and set in the column."""
+    width, swaps, j = stride // 8, [], stride >> 1
+    while j:
+        # The columns with bit j set: runs of j ones every 2j bits.
+        row = ((1 << stride) - 1) // ((1 << 2 * j) - 1) * ((1 << j) - 1 << j)
+        block = row.to_bytes(width, "little") * j + bytes(width * j)
+        swaps.append((j * (stride - 1),
+                      int.from_bytes(block * (stride // (2 * j)), "little")))
+        j >>= 1
+    return tuple(swaps)
+
+
+def _transpose(rows: list, n: int) -> list:
+    """The columns of the n x n bit matrix ``rows``: bit p of ``out[q]`` is
+    bit q of ``rows[p]``.  The rows are packed into one int at a stride of
+    a power of two (at least 8), which log2(stride) masked delta swaps
+    transpose and ``to_bytes`` unpacks: O(n^2 log n / w) word operations
+    for w-bit words, and O(n) Python steps."""
+    stride = max(8, 1 << (n - 1).bit_length())
+    width = stride // 8
+    x = int.from_bytes(b"".join([r.to_bytes(width, "little") for r in rows]), "little")
+    for shift, mask in _swap_masks(stride):
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    packed = x.to_bytes(n * width, "little")
+    return [int.from_bytes(packed[i:i + width], "little")
+            for i in range(0, n * width, width)]
+
+
+def _stamp(cells: array, new: list, r: int) -> None:
+    """Write stamp ``r`` into the cells of the bits of ``new`` (per row, a
+    mask of pairs whose cells are 0), a block of rows at a time: the
+    block's bits become one code unit of 0 or 1 per cell, which times r
+    is added to the cells as one int."""
+    n, order, size = len(new), sys.byteorder, cells.itemsize
+    fmt, codec = f"0{n}b", f"utf-{8 * size}-{order[0]}e"
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        block = new[lo:lo + step]
+        if not any(block):
+            continue
+        # Each row's binary text reads from bit n - 1 down to bit 0.
+        text = "".join([format(g, fmt) for g in reversed(block)])[::-1]
+        i, j = lo * n, (lo + len(block)) * n
+        total = (int.from_bytes(cells[i:j], order)
+                 + int.from_bytes(text.translate(_ZERO_ONE).encode(codec), order) * r)
+        cells[i:j] = array(cells.typecode, total.to_bytes((j - i) * size, order))
 
 
 def _saturate(n: int, rule, symmetric: bool, goal=None,
@@ -83,36 +159,58 @@ def _saturate(n: int, rule, symmetric: bool, goal=None,
     (p, q) held, as of the previous round.  ``rule(rows, cols)`` gives, per
     state p, the mask of the q at which the rule body fires for (p, q);
     the pairs that are not yet held (with their transposes, for a
-    symmetric relation) are added, and the rows' growth is the round's
-    layer.  One round costs what the rule costs, so a rule that walks the
+    symmetric relation) are added, and their cells get the round's stamp.
+    One round costs what the rule costs, so a rule that walks the
     out-steps of every state and ORs n-bit masks costs
-    O(sum_p out(p) * n) word operations.  Given the ``progress`` of an
-    earlier call with the same rule, it resumes there.
+    O(sum_p out(p) * n) word operations.  The bookkeeping costs less: a
+    sparse round walks its fresh bits, setting a column bit and a cell
+    each, and a dense one (``_DENSE`` fresh pairs per state or more) takes
+    one packed transpose for its columns and block arithmetic for its
+    stamps, with O(n) Python steps.  The stamps take one compact cell per
+    pair, however many rounds run.  Given the ``progress`` of an earlier
+    call with the same rule, it resumes there.
     """
     full = (1 << n) - 1
     s = progress or _Progress(n, symmetric)
-    rows, cols, layers = s.rows, s.cols, s.layers
+    rows, cols, cells = s.rows, s.cols, s.cells
     while not (s.done or goal is not None
                and all(rows[p] >> q & 1 for p, q in goal)):
-        if len(layers) > n * n:
+        if s.round > n * n:
             raise InternalInvariantError("fixpoint failed to stabilize")
         fresh = [f & full & ~r for f, r in zip(rule(rows, cols), rows)]
         if not any(fresh):
             s.done = True
             break
-        before = rows[:]
+        s.round = r = s.round + 1
+        if r == 1:
+            s.cells = cells = array("H", [0]) * (n * n)
+        elif r == 1 << 16:  # past what 2-byte cells hold
+            s.cells = cells = array("I", cells)
+        dense = sum(map(int.bit_count, fresh)) >= _DENSE * n
         for p, f in enumerate(fresh):
             if f >> p & 1:
                 raise InternalInvariantError(
                     f"rule fired on the diagonal pair ({p}, {p})")
             rows[p] |= f
-            bit = 1 << p
+            if dense:
+                continue
+            bit, base = 1 << p, p * n
             while f:
                 low = f & -f
-                cols[low.bit_length() - 1] |= bit
+                q = low.bit_length() - 1
+                cols[q] |= bit
+                cells[base + q] = r
+                if symmetric:
+                    cells[q * n + p] = r
                 f ^= low
-        layers.append(tuple(r & ~b for r, b in zip(rows, before)))
-    return DirectedPairRelation(n, tuple(rows), tuple(layers))
+        if dense:
+            columns = _transpose(fresh, n)
+            for q, c in enumerate(columns):
+                cols[q] |= c
+            _stamp(cells, [f | c for f, c in zip(fresh, columns)]
+                   if symmetric else fresh, r)
+    # A prefix's cells must not see the later rounds' stamps.
+    return DirectedPairRelation(n, tuple(rows), cells if s.done else cells[:])
 
 
 class _Memo(dict):
@@ -331,21 +429,21 @@ def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int,
         raise PairNotHeldError(f"pair ({p}, {q}) is not in the relation")
     closed = reflexive_closure(l)
     tc = tau_closure(closed)
-    stamps = rel.stamps
+    cells, n = rel.cells, rel.n_states
     chosen: dict = {}  # pair -> (witness, [(q1, q2, tag, sub pair)])
 
     def premises(pair) -> list:
         """Choose the witness step and child tags of ``pair``; its
         sub-pairs in child order."""
         p, q = pair
-        bound = stamps(p)[q]
+        bound = cells[p * n + q]
         for label, p1 in closed.out(p):
             assignment = []
             for q1, q2 in tc.triples(q, label):
                 for tag, (x, y) in ((TAG_LEFT, (p, q1)),
                                     (TAG_RIGHT_BWD, (q2, p1)),
                                     (TAG_RIGHT_FWD, (p1, q2))):
-                    if 0 < stamps(x)[y] < bound:
+                    if 0 < cells[x * n + y] < bound:
                         assignment.append((q1, q2, tag, (x, y)))
                         break
                 else:

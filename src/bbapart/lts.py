@@ -34,7 +34,11 @@ class NonReflexiveLtsError(ValueError):
 
 _NAME_RE = re.compile(r'^[^\s"]+$')
 _HEADER = re.compile(r"\s*des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
-_STEP = re.compile(r'^\(\s*(\d+)\s*,\s*(.*?)\s*,\s*(\d+)\s*\)$')
+# A step line.  The label is all between the first comma and the last, less
+# the whitespace at its ends: one greedy scan finds it, in time linear in
+# the line.  A lazy label would try each split of a run of whitespace
+# before a comma, in time quadratic in the run.
+_STEP = re.compile(r"\(\s*(\d+)\s*,(.*),\s*(\d+)\s*\)$")
 
 
 class HashConsed:
@@ -300,7 +304,7 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
             if re.match(r'^\(\s*\d+\s*,\s*"[^"]*$', line):
                 raise AutParseError(f"unterminated label: {line!r}", lineno)
             raise AutParseError(f"malformed transition: {line!r}", lineno)
-        src, token, dst = int(m.group(1)), m.group(2), int(m.group(3))
+        src, token, dst = int(m[1]), m[2].strip(), int(m[3])
         if token.startswith('"'):
             if not (len(token) >= 2 and token.endswith('"')):
                 raise AutParseError(f"unterminated label: {line!r}", lineno)

@@ -96,7 +96,7 @@ def test_reflexive_invariance_fails_for_an_engine_that_reads_the_loops(
         if not l.has_reflexive_silent_steps:
             return rel
         return apartness.DirectedPairRelation(
-            rel.n_states, (rel.rows[0] ^ 1, *rel.rows[1:]), rel.layers)
+            rel.n_states, (rel.rows[0] ^ 1, *rel.rows[1:]), rel.cells)
     monkeypatch.setattr(apartness, "directed_branching_apartness_nonreflexive",
                         loop_sensitive)
     assert not fixsr.has_reflexive_silent_steps

@@ -1,3 +1,5 @@
+import re
+import time
 import tracemalloc
 
 import pytest
@@ -9,6 +11,7 @@ from bbapart.lts import (
     ActionLabel,
     AutParseError,
     Lts,
+    _STEP,
     constrained_tau_reach,
     parse_aut,
     reflexive_closure,
@@ -58,6 +61,30 @@ def test_parse_errors_carry_line(text, line):
     with pytest.raises(AutParseError) as exc:
         parse_aut(text)
     assert exc.value.line == line
+
+
+# The step pattern whose lazy label backtracked quadratically on a line
+# that is no step: the reference for the lines accepted and their fields.
+_LAZY_STEP = re.compile(r'^\(\s*(\d+)\s*,\s*(.*?)\s*,\s*(\d+)\s*\)$')
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet='(),"0123 \tab\u00a0\u2003', max_size=16))
+def test_the_step_pattern_reads_lines_as_the_lazy_one(line):
+    line = line.strip()
+    m, lazy = _STEP.match(line), _LAZY_STEP.match(line)
+    assert (m and (m[1], m[2].strip(), m[3])) == (lazy and lazy.groups())
+
+
+def test_a_long_malformed_step_line_is_rejected_in_linear_time():
+    # The lazy label of the old step pattern tried every split of the
+    # whitespace run: 1.26 s at 20,000 spaces, minutes at 200,000.
+    line = "(0,a" + " " * 199_995 + "x"
+    start = time.perf_counter()
+    with pytest.raises(AutParseError) as exc:
+        parse_aut(f"des (0,1,2)\n{line}")
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == f"line 2: malformed transition: {line!r}"
 
 
 def test_render_round_trip(fixsr):

@@ -47,12 +47,12 @@ def _flip_mask(monkeypatch, g, state: int):
 
 def _edit_rows(engine, edit):
     """``engine`` with ``edit`` applied to the rows of its relation, which
-    keeps its round layers."""
+    keeps its round stamps."""
     def corrupted(l):
         rel = engine(l)
         rows = list(rel.rows)
         edit(rows)
-        return ap.DirectedPairRelation(rel.n_states, tuple(rows), rel.layers)
+        return ap.DirectedPairRelation(rel.n_states, tuple(rows), rel.cells)
     return corrupted
 
 
