@@ -39,14 +39,6 @@ def _refine(n: int, clause, symmetric: bool, order=None) -> BisimRelation:
     return BisimRelation(n, frozenset(rel))
 
 
-def _violations_one_pass(n: int, clause, symmetric: bool, rel: frozenset) -> list:
-    out = []
-    for p, q in sorted(rel):
-        if not clause(p, q, rel) or (symmetric and not clause(q, p, rel)):
-            out.append((p, q))
-    return out
-
-
 def _strong_clause(l: Lts):
     def clause(p, q, rel):
         return all(any((p1, q1) in rel for q1 in l.succ(q, label))
@@ -130,7 +122,9 @@ def refine_once_violations(l: Lts, kind: str, rel: BisimRelation) -> list:
     """Pairs a further deletion pass would remove; empty iff ``rel`` is a
     bisimulation of its kind."""
     _, make_clause, symmetric = _ENGINES[kind]
-    return _violations_one_pass(l.n_states, make_clause(l), symmetric, rel.holds)
+    clause, held = make_clause(l), rel.holds
+    return [(p, q) for p, q in sorted(held)
+            if not clause(p, q, held) or (symmetric and not clause(q, p, held))]
 
 
 def refine_with_order(l: Lts, kind: str, order) -> BisimRelation:

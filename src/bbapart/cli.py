@@ -62,7 +62,7 @@ def _load_lts(args) -> Lts:
     if args.names:
         try:
             l = l.with_names(load_names(args.names))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot load names from {args.names}: {exc}") from exc
     return l
 
@@ -71,7 +71,7 @@ def _state(l: Lts, token: str) -> int:
     try:
         return l.state_index(token)
     except KeyError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(exc.args[0]) from exc
 
 
 def _formula(args):
@@ -155,10 +155,10 @@ def cmd_parse(args) -> int:
 
 def cmd_check(args) -> int:
     l = _load_lts(args)
+    p, q = _state(l, args.p), _state(l, args.q)
     if args.kind in ("strong", "dstrong") and TAU in l.actions:
         _complain("warning: strong relations treat the silent action as an "
                   "ordinary label on this LTS\n")
-    p, q = _state(l, args.p), _state(l, args.q)
     return _emit(check_pair(l, args.kind, p, q, nonreflexive=args.nonreflexive))
 
 

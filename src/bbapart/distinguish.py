@@ -9,7 +9,7 @@ walk over a DAG (the derivation, or the formula), with no recursion.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 from .apartness import (
     TAG_LEFT,
@@ -205,7 +205,6 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
             f"formula does not distinguish states {p} and {q}")
     needed: dict = {}  # diamond -> mask of the satisfiers some pair reaches
     candidates: dict = {}  # id of a diamond -> one entry per needed satisfier
-    realized: dict = {}
 
     def mask(g: PFormula) -> int:
         return ev.mask(p_embed(g))
@@ -246,11 +245,9 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
                         out.append(chain)
         return out
 
+    @cache
     def realize(sub: Formula) -> tuple:
-        if sub not in realized:
-            realized[sub] = _sorted_dedup(
-                separate(sub, ev.mask(sub), ev.mask(Neg(sub))))
-        return realized[sub]
+        return _sorted_dedup(separate(sub, ev.mask(sub), ev.mask(Neg(sub))))
 
     def split(formulas: tuple, r: int) -> tuple:
         """The formulas ``r`` satisfies, and those it does not."""

@@ -12,7 +12,6 @@ for conjuncts on the right of a diamond.
 from __future__ import annotations
 
 import re
-from itertools import compress
 
 from .lts import (
     TAU,
@@ -20,6 +19,7 @@ from .lts import (
     HashConsed,
     Lts,
     NonReflexiveLtsError,
+    _bits,
     constrained_tau_reach,
     reflexive_closure,
 )
@@ -403,29 +403,17 @@ class SatEvaluator:
         return memo[f]
 
     def set(self, g: Formula) -> frozenset:
-        return _members(self.mask(g), self.lts.n_states)
+        return frozenset(_bits(self.mask(g)))
 
     def holds(self, p: int, g: Formula) -> bool:
         return bool(self.mask(g) >> p & 1)
-
-
-_DIGITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _flags(mask: int, n: int) -> bytes:
-    """Byte ``p`` is 1 when bit ``p`` of ``mask`` is set, else 0."""
-    return format(mask, f"0{n}b").encode()[::-1].translate(_DIGITS_TO_FLAGS)
-
-
-def _members(mask: int, n: int) -> frozenset:
-    return frozenset(compress(range(n), _flags(mask, n)))
 
 
 def sat_set(l: Lts, f: Formula) -> dict:
     """Satisfaction sets, one per subformula of ``f``."""
     ev = SatEvaluator(l)
     ev.mask(f)
-    return {g: _members(m, l.n_states) for g, m in ev._memo.items()}
+    return {g: frozenset(_bits(m)) for g, m in ev._memo.items()}
 
 
 def satisfies(l: Lts, p: int, f: Formula) -> bool:
@@ -443,7 +431,7 @@ def p_satisfies(l: Lts, p: int, f: PFormula) -> bool:
 def _reach_inside(l: Lts, allowed: int) -> tuple:
     """Per state p, the mask of the states reachable from p along silent
     paths inside the mask ``allowed`` (0 when p is outside it)."""
-    inside = _members(allowed, l.n_states)
+    inside = frozenset(_bits(allowed))
     return tuple(sum(1 << q for q in constrained_tau_reach(l, p, inside))
                  for p in range(l.n_states))
 
@@ -564,7 +552,9 @@ def enumerate_pformulas(actions, depth: int) -> list:
 # Text grammar
 
 
-_TOKEN_RE = re.compile(r'\s*(<|>|\(|\)|&|\||~|[A-Za-z_][A-Za-z0-9_\']*)')
+# A label is an identifier, or any .aut label in double quotes.
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_TOKEN_RE = re.compile(rf'\s*(<|>|\(|\)|&|\||~|{_IDENT_RE.pattern}|"[^\s"]+")')
 
 
 def _tokenize(text: str) -> list:
@@ -587,6 +577,7 @@ def parse_formula(text: str, silent_label: str = "tau") -> Formula:
     formula := "T" | "F" | "~" formula | "(" formula "&" formula ")"
              | "(" formula "|" formula ")" | "(" formula "<" label ">" formula ")"
              | "<" label ">" formula
+    label   := identifier | '"' .aut label '"'
     """
     tokens = _tokenize(text)
     idx = 0
@@ -605,7 +596,8 @@ def parse_formula(text: str, silent_label: str = "tau") -> Formula:
         tok = take()
         if tok in ("<", ">", "(", ")", "&", "|", "~"):
             raise FormulaParseError(f"expected action label, found {tok!r}")
-        lab = TAU if tok == silent_label else ActionLabel(tok)
+        name = tok[1:-1] if tok[0] == '"' else tok
+        lab = TAU if name == silent_label else ActionLabel(name)
         take(">")
         return lab
 
@@ -691,6 +683,7 @@ def format_formula(f: Formula, silent_label: str = "tau") -> str:
             stack += [")", g.right, " & ", g.left]
         elif isinstance(g, Diamond):
             lab = silent_label if g.label.silent else g.label.name
+            lab = lab if _IDENT_RE.fullmatch(lab) else f'"{lab}"'
             if isinstance(g.left, Top):
                 out.append(f"<{lab}> ")
                 stack.append(g.right)

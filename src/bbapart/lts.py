@@ -32,7 +32,7 @@ class NonReflexiveLtsError(ValueError):
     """
 
 
-_NAME_RE = re.compile(r'^[^\s"]+$')
+_NAME_RE = re.compile(r'^[^\s"]+\Z')
 _HEADER = re.compile(r"\s*des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
 # A step line.  The label is all between the first comma and the last, less
 # the whitespace at its ends: one greedy scan finds it, in time linear in
@@ -345,12 +345,16 @@ def per_lts(compute):
 
 def load_names(path) -> tuple:
     """Load a sidecar name map: a JSON object from state index to name.
-    Raises ``ValueError`` on any other JSON value."""
+    Raises ``ValueError`` on any other JSON value, or when an index below
+    the number of names is missing."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not (isinstance(data, dict)
             and all(isinstance(name, str) for name in data.values())):
         raise ValueError("expected a JSON object mapping state indices to names")
     names = {int(k): v for k, v in data.items()}
+    missing = [i for i in range(len(names)) if i not in names]
+    if missing:
+        raise ValueError(f"state index {missing[0]} is missing")
     return tuple(names[i] for i in range(len(names)))
 
 
@@ -371,15 +375,10 @@ class TauClosure:
     (q', q'') with q ->>tau q' -alpha-> q'' are built per (q, alpha)."""
 
     def __init__(self, lts: Lts, forward: tuple, components: list):
-        self.lts, self.forward, self._components, self._triples = lts, forward, components, {}
-
-    def triples(self, q: int, label: ActionLabel) -> tuple:
-        """Sorted (q', q'') with q ->>tau q' -label-> q'', built on first use."""
-        found = self._triples.get((q, label))
-        if found is None:
-            found = self._triples[q, label] = tuple(
-                (q1, q2) for q1 in _bits(self.forward[q]) for q2 in self.lts.succ(q1, label))
-        return found
+        self.lts, self.forward, self._components = lts, forward, components
+        # triples(q, label): sorted (q', q'') with q ->>tau q' -label-> q''.
+        self.triples = functools.cache(lambda q, label: tuple(
+            (q1, q2) for q1 in _bits(forward[q]) for q2 in lts.succ(q1, label)))
 
     @cached_property
     def back(self) -> tuple:

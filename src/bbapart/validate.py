@@ -72,11 +72,10 @@ def _differences(rows: tuple, others: tuple) -> list:
             for q in _bits(row ^ other)]
 
 
-def duality_violations(l: Lts, kind: str, apart=None) -> list:
+def duality_violations(l: Lts, kind: str) -> list:
     """Pairs where apartness and bisimilarity of the same kind agree
-    (they must be exact complements).  ``apart`` replaces the engine's
-    relation, to show that a wrong relation fails the check."""
-    apart = _APART_ENGINES[kind](l) if apart is None else apart
+    (they must be exact complements)."""
+    apart = _APART_ENGINES[kind](l)
     bisim_rel = bs.bisimilarity(l, kind)
     return [{"kind": kind, "p": p, "q": q, "apart": (p, q) in apart}
             for p, q in _pairs(l.n_states)
@@ -88,10 +87,7 @@ def symmetric_closure_violations(l: Lts, branching: bool = True) -> list:
     symmetric counterpart (branching or strong)."""
     names = ("dbranching", "branching") if branching else ("dstrong", "strong")
     directed, symmetric = (_APART_ENGINES[name](l).rows for name in names)
-    closure = list(directed)
-    for p, row in enumerate(directed):
-        for q in _bits(row):
-            closure[q] |= 1 << p
+    closure = [r | c for r, c in zip(directed, ap._transpose(directed, l.n_states))]
     return [{"branching": branching, "p": p, "q": q, "inClosure": held}
             for p, q, held in _differences(closure, symmetric)]
 
@@ -346,25 +342,13 @@ def _entry(name: str, violations: list) -> PropertyResult:
     return PropertyResult(name, "fail", head)
 
 
-def cross_validate(l: Lts, _corrupt_duality_pair=None) -> ValidationReport:
+def cross_validate(l: Lts) -> ValidationReport:
     """Run every property suite on one LTS.
 
     The enumeration-gated suites run at depth ``ENUM_DEPTH`` on LTSs with
     at most ``ENUM_STATE_LIMIT`` states and are skipped otherwise.
-    ``_corrupt_duality_pair`` toggles one pair in the directed branching
-    apartness fed to the duality check — a harness self-test hook proving
-    failures surface.
     """
-    corrupted = None
-    if _corrupt_duality_pair is not None:
-        corrupted = (ap.directed_branching_apartness(l).holds
-                     ^ {tuple(_corrupt_duality_pair)})
-
-    entries = [
-        _entry(f"duality-{kind}", duality_violations(
-            l, kind, corrupted if kind == "dbranching" else None))
-        for kind in KINDS
-    ]
+    entries = [_entry(f"duality-{kind}", duality_violations(l, kind)) for kind in KINDS]
     entries += [
         _entry("symmetric-closure-branching",
                symmetric_closure_violations(l, branching=True)),

@@ -2,14 +2,16 @@
 and validation's enumeration are computed on first use, kept with the
 LTS, and shared by every caller."""
 
+import gc
+import weakref
+
 import pytest
 
 from bbapart import apartness as ap
 from bbapart import logic, validate
+from bbapart.distinguish import pformula_from_hmlu
 from bbapart.generate import GenParams, campaign_instances, random_lts
 from bbapart.lts import reflexive_closure
-
-from conftest import load_fixture
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -61,16 +63,6 @@ def test_check_pair_saturates_once_per_relation(monkeypatch, kind, nonreflexive)
     assert len(runs) == 1 + certified
 
 
-def test_a_corrupted_relation_never_enters_the_memo():
-    l = load_fixture("fixsr")
-    failing = [e.name for e in validate.cross_validate(
-        l, _corrupt_duality_pair=(0, 5)).entries if e.status != "pass"]
-    assert failing == ["duality-dbranching"]
-    fresh = ap.directed_branching_apartness(load_fixture("fixsr"))
-    assert ap.directed_branching_apartness(l) == fresh
-    assert validate.cross_validate(l).ok
-
-
 def test_cross_validate_reads_rows_not_the_pair_views():
     # Validation reads the kernel's row masks; the per-pair views are left
     # to tests and the tracer.
@@ -84,3 +76,26 @@ def test_cross_validate_reads_rows_not_the_pair_views():
         reflexive_closure(l)))
     for rel in relations:
         assert "holds" not in vars(rel) and "rounds" not in vars(rel)
+
+
+def _analyse(l):
+    """Every query kind on ``l``, each kept with it on first use."""
+    validate.cross_validate(l)
+    for kind in validate.KINDS:
+        validate.check_pair(l, kind, 0, 1)
+    validate.check_pair(l, "dbranching", 0, 1, nonreflexive=True)
+    p, q = min(ap.directed_branching_apartness(l).holds)
+    formula = validate.distinguish_pair(l, p, q)["formula"]
+    pformula_from_hmlu(l, logic.p_embed(formula), p, q)
+
+
+def test_analyses_do_not_outlive_their_lts():
+    # The memos live on the LTS or on objects it keeps, never in a module,
+    # so an LTS and its reflexive closure are freed with their last user.
+    l = random_lts(GenParams(n_states=5, seed=2))
+    assert not l.has_reflexive_silent_steps
+    _analyse(l)
+    refs = weakref.ref(l), weakref.ref(reflexive_closure(l))
+    del l
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

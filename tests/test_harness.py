@@ -76,12 +76,24 @@ def test_cross_validate_fixtures(fix1, fixsr, fixpq, fixg2):
                            if e.status != "pass"]
 
 
-def test_cross_validate_corruption_detected(fixsr):
-    report = cross_validate(fixsr, _corrupt_duality_pair=(0, 5))
+def test_cross_validate_corruption_detected(monkeypatch, fixsr):
+    # An engine that toggles the pair (0, 5) fails the duality check on
+    # that pair; (5, 0) stays held, so the symmetric closure is unchanged.
+    engines = bbapart.validate._APART_ENGINES
+    engine = engines["dbranching"]
+
+    def corrupted(l):
+        rel = engine(l)
+        rows = list(rel.rows)
+        rows[0] ^= 1 << 5
+        return apartness.DirectedPairRelation(rel.n_states, tuple(rows), rel.cells)
+    monkeypatch.setitem(engines, "dbranching", corrupted)
+    report = cross_validate(fixsr)
     failing = [e for e in report.entries if e.status != "pass"]
     assert [e.name for e in failing] == ["duality-dbranching"]
-    cx = failing[0].counterexample
-    assert {"p", "q", "apart"} <= set(cx)
+    assert failing[0].counterexample == {
+        "kind": "dbranching", "p": 0, "q": 5,
+        "apart": (0, 5) not in engine(fixsr), "violationCount": 1}
 
 
 def test_reflexive_invariance_fails_for_an_engine_that_reads_the_loops(
@@ -317,6 +329,27 @@ def test_cli_usage_errors(capsys, argv):
         argv = [a.replace("tests/data", str(DATA)) for a in argv]
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["strong", "dstrong", "branching"])
+@pytest.mark.parametrize("state, message", [
+    ("99", "state index out of range: 99"), ("zz", "unknown state: 'zz'")])
+def test_cli_a_bad_state_is_one_error_line(capsys, tmp_path, kind, state, message):
+    # The states are resolved before the strong kinds warn about silent steps.
+    aut = tmp_path / "t.aut"
+    aut.write_text('des (0,2,3)\n(0,"a",1)\n(1,"tau",2)\n')
+    assert main(["check", "--lts", str(aut), "--kind", kind, "0", state]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_names_missing_an_index_say_which(capsys, tmp_path):
+    aut = tmp_path / "t.aut"
+    aut.write_text('des (0,1,3)\n(0,"a",1)\n')
+    names = tmp_path / "n.json"
+    names.write_text('{"0": "a", "2": "b"}')
+    assert main(["parse", str(aut), "--names", str(names)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot load names from {names}: state index 1 is missing\n")
 
 
 @pytest.mark.parametrize("sidecar", ["[1, 2]", '"x"', "null", "3",

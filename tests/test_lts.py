@@ -173,6 +173,8 @@ def test_label_validation():
         ActionLabel("")
     with pytest.raises(ValueError):
         ActionLabel("a b")
+    with pytest.raises(ValueError):  # "$" would match before the newline
+        ActionLabel("a\n")
     assert ActionLabel().silent
     assert not ActionLabel("a").silent
 

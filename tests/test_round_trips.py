@@ -5,7 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbapart.cli import EXIT_USAGE, main
-from bbapart.logic import format_formula, format_pformula, p_embed, parse_formula
+from bbapart.logic import (
+    PBOT,
+    PTOP,
+    TOP,
+    And,
+    Diamond,
+    Neg,
+    PAnd,
+    PDiamond,
+    POr,
+    format_formula,
+    format_pformula,
+    p_embed,
+    parse_formula,
+)
 from bbapart.lts import TAU, ActionLabel, Lts, parse_aut, render_aut
 
 from test_cli_fuzz import hmlu
@@ -20,16 +34,20 @@ names = (st.sampled_from(["a", "i", "tau", "a,1", "(0", "x)", "é", "\x00"])
                    .filter(lambda c: not c.isspace()), min_size=1, max_size=4))
 
 
+def labels(silent: str):
+    """The silent label, or a visible one not named like ``silent``."""
+    return st.just(TAU) | names.filter(lambda name: name != silent).map(ActionLabel)
+
+
 @st.composite
 def ltss_with_token(draw):
     """A silent token and an LTS of at most five states whose visible
     labels all differ from it (``render_aut`` refuses the others), with
     any initial state."""
     silent = draw(st.sampled_from(SILENT_TOKENS))
-    labels = st.just(TAU) | names.filter(lambda name: name != silent).map(ActionLabel)
     n = draw(st.integers(1, 5))
     state = st.integers(0, n - 1)
-    steps = draw(st.frozensets(st.tuples(state, labels, state), max_size=12))
+    steps = draw(st.frozensets(st.tuples(state, labels(silent), state), max_size=12))
     return silent, Lts(n, steps, draw(state))
 
 
@@ -74,3 +92,48 @@ def test_formula_round_trip(silent, f):
 @given(st.sampled_from(SILENT_TOKENS), pformulas(3))
 def test_pformula_round_trip_through_its_embedding(silent, g):
     assert parse_formula(format_pformula(g, silent), silent) is p_embed(g)
+
+
+def hmlu_over(label):
+    """HMLU formulas whose diamonds draw their labels from ``label``."""
+    return st.recursive(st.just(TOP), lambda sub: (
+        sub.map(Neg) | st.builds(And, sub, sub) | st.builds(Diamond, sub, label, sub)),
+        max_leaves=6)
+
+
+def pformulas_over(label):
+    """P-formulas whose diamonds draw their labels from ``label``."""
+    def extend(sub):
+        two = st.lists(sub, max_size=2).map(tuple)
+        return (st.builds(PAnd, sub, sub) | st.builds(POr, sub, sub)
+                | st.builds(PDiamond, sub, label, two, two))
+    return st.recursive(st.sampled_from([PTOP, PBOT]), extend, max_leaves=6)
+
+
+@st.composite
+def over_aut_labels(draw, formulas):
+    """A silent token, and a formula of ``formulas`` whose visible labels
+    are any ``.aut`` labels not named like that token."""
+    silent = draw(st.sampled_from(SILENT_TOKENS))
+    return silent, draw(formulas(labels(silent)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(over_aut_labels(hmlu_over))
+def test_formula_round_trip_over_aut_labels(case):
+    silent, f = case
+    assert parse_formula(format_formula(f, silent), silent) is f
+
+
+@settings(max_examples=200, deadline=None)
+@given(over_aut_labels(pformulas_over))
+def test_pformula_round_trip_over_aut_labels(case):
+    silent, g = case
+    assert parse_formula(format_pformula(g, silent), silent) is p_embed(g)
+
+
+def test_only_labels_that_are_not_identifiers_are_quoted():
+    f = Diamond(TOP, ActionLabel("send(1)"), Diamond(TOP, ActionLabel("b'1"), TOP))
+    assert format_formula(f) == '<"send(1)"> <b\'1> T'
+    assert parse_formula('<"b\'1"> T') is Diamond(TOP, ActionLabel("b'1"), TOP)
+    assert parse_formula('<"tau"> T', "tau") is Diamond(TOP, TAU, TOP)
