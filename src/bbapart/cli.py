@@ -1,6 +1,16 @@
 """Command-line entry point: parse, check, distinguish, mc, convert,
 random, validate.
 
+The subcommands and their arguments are one table, ``_commands()``.  A
+command line in the strict form is read from that table with no
+``argparse`` import: ``argv[0]`` names a subcommand; each later token is
+an exact option string of it, the value after a value-taking option, or
+a positional; no value or positional starts with ``-``; each value
+converts by its entry's ``type`` and lies in its ``choices``; every
+required option and every positional is given.  Anything else goes to
+the full parser that ``build_parser`` builds from the same table, so
+help and error text is argparse's, byte for byte.
+
 Exit codes: 0 for any successful answer (including "not apart" and "does
 not distinguish"), 2 for usage, input-parse or output errors, 3 when an
 internal invariant check fails.
@@ -8,12 +18,12 @@ internal invariant check fails.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
 import os
 import sys
+import types
 from pathlib import Path
 
 from .apartness import InternalInvariantError
@@ -256,115 +266,131 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
 
+# Arguments that several subcommands share, as ``(option strings,
+# settings)`` entries of the command table.
+_LTS = ((("--lts",), {"required": True, "help": "LTS in Aldebaran (.aut) format"}),
+        (("--tau-label",), {"default": "tau", "choices": ["tau", "i"],
+                            "help": "token naming the silent action in input files"}),
+        (("--names",), {"default": None,
+                        "help": "JSON sidecar mapping state indices to names"}))
+_TAU_LABEL = (("--tau-label",), {"default": "tau", "choices": ["tau", "i"]})
+_NAMES = (("--names",), {"default": None})
+_FORMULA = (("--formula",), {"required": True})
+_SIMPLIFY = (("--simplify",), {"action": "store_true"})
+_PAIR = ((("p",), {}), (("q",), {}))
+_DENSITIES = ((("--vdensity",), {"type": float, "default": 1.5}),
+              (("--tdensity",), {"type": float, "default": 0.7}))
+
+
 def _commands() -> dict:
-    """The command table: each subcommand's function, help text and the
-    function that adds its arguments.  Built per call from the module's
-    bindings, so that a wrapped command function is the one that runs."""
-
-    def lts_options(sub):
-        sub.add_argument("--lts", required=True, help="LTS in Aldebaran (.aut) format")
-        sub.add_argument("--tau-label", default="tau", choices=["tau", "i"],
-                         help="token naming the silent action in input files")
-        sub.add_argument("--names", default=None,
-                         help="JSON sidecar mapping state indices to names")
-
-    def parse(sub):
-        sub.add_argument("lts", metavar="file")
-        sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
-        sub.add_argument("--names", default=None)
-
-    def check(sub):
-        lts_options(sub)
-        sub.add_argument("--kind", required=True,
-                         choices=["strong", "dstrong", "branching", "dbranching"])
-        sub.add_argument("--nonreflexive", action="store_true",
-                         help="use the four-rule engine on the raw LTS (dbranching)")
-        sub.add_argument("p")
-        sub.add_argument("q")
-
-    def distinguish(sub):
-        lts_options(sub)
-        sub.add_argument("--simplify", action="store_true")
-        sub.add_argument("p")
-        sub.add_argument("q")
-
-    def mc(sub):
-        lts_options(sub)
-        sub.add_argument("--state", required=True)
-        sub.add_argument("--formula", required=True)
-
-    def convert(sub):
-        lts_options(sub)
-        sub.add_argument("--formula", required=True)
-        sub.add_argument("--simplify", action="store_true")
-        sub.add_argument("p")
-        sub.add_argument("q")
-
-    def random(sub):
-        sub.add_argument("--states", type=int, required=True)
-        sub.add_argument("--actions", type=int, default=2)
-        sub.add_argument("--vdensity", type=float, default=1.5)
-        sub.add_argument("--tdensity", type=float, default=0.7)
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
-        sub.add_argument("-o", "--output", default=None)
-
-    def validate(sub):
-        sub.add_argument("--lts", default=None)
-        sub.add_argument("--tau-label", default="tau", choices=["tau", "i"])
-        sub.add_argument("--names", default=None)
-        sub.add_argument("--campaign", action="store_true")
-        sub.add_argument("--count", type=int, default=200)
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--min-states", type=int, default=2,
-                         help="campaign: smallest LTS (sizes cycle up to --max-states)")
-        sub.add_argument("--max-states", type=int, default=8)
-        sub.add_argument("--actions", type=int, default=2,
-                         help="campaign: visible actions per LTS")
-        sub.add_argument("--vdensity", type=float, default=1.5)
-        sub.add_argument("--tdensity", type=float, default=0.7)
-
+    """The command table: each subcommand's function, its help text and its
+    arguments, as ``(option strings, settings)`` entries for
+    ``add_argument``.  Built per call from the module's bindings, so that a
+    wrapped command function is the one that runs."""
     return {
-        "parse": (cmd_parse, "parse an .aut file and print stats", parse),
-        "check": (cmd_check, "apartness/bisimilarity of a state pair", check),
-        "distinguish": (cmd_distinguish, "synthesize a distinguishing P-formula", distinguish),
-        "mc": (cmd_mc, "model-check a formula at a state", mc),
-        "convert": (cmd_convert, "turn a distinguishing formula into a P-formula", convert),
-        "random": (cmd_random, "generate a seeded random LTS", random),
-        "validate": (cmd_validate, "run the cross-validation suites", validate),
+        "parse": (cmd_parse, "parse an .aut file and print stats", (
+            (("lts",), {"metavar": "file"}), _TAU_LABEL, _NAMES)),
+        "check": (cmd_check, "apartness/bisimilarity of a state pair", (
+            *_LTS,
+            (("--kind",), {"required": True,
+                           "choices": ["strong", "dstrong", "branching", "dbranching"]}),
+            (("--nonreflexive",), {"action": "store_true", "help":
+                                   "use the four-rule engine on the raw LTS (dbranching)"}),
+            *_PAIR)),
+        "distinguish": (cmd_distinguish, "synthesize a distinguishing P-formula", (
+            *_LTS, _SIMPLIFY, *_PAIR)),
+        "mc": (cmd_mc, "model-check a formula at a state", (
+            *_LTS, (("--state",), {"required": True}), _FORMULA)),
+        "convert": (cmd_convert, "turn a distinguishing formula into a P-formula", (
+            *_LTS, _FORMULA, _SIMPLIFY, *_PAIR)),
+        "random": (cmd_random, "generate a seeded random LTS", (
+            (("--states",), {"type": int, "required": True}),
+            (("--actions",), {"type": int, "default": 2}),
+            *_DENSITIES,
+            (("--seed",), {"type": int, "default": 0}),
+            _TAU_LABEL,
+            (("-o", "--output"), {"default": None}))),
+        "validate": (cmd_validate, "run the cross-validation suites", (
+            (("--lts",), {"default": None}),
+            _TAU_LABEL,
+            _NAMES,
+            (("--campaign",), {"action": "store_true"}),
+            (("--count",), {"type": int, "default": 200}),
+            (("--seed",), {"type": int, "default": 0}),
+            (("--min-states",), {"type": int, "default": 2, "help":
+                                 "campaign: smallest LTS (sizes cycle up to --max-states)"}),
+            (("--max-states",), {"type": int, "default": 8}),
+            (("--actions",), {"type": int, "default": 2,
+                              "help": "campaign: visible actions per LTS"}),
+            *_DENSITIES)),
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full argument parser, with every subcommand of the table."""
+def build_parser():
+    """The full ``argparse.ArgumentParser``, with every subcommand of the
+    table.  Only help and usage errors need it, so argparse is imported
+    here and not with the module."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bbapart",
         description="Apartness, bisimilarity, model checking, and "
                     "distinguishing-formula synthesis on finite LTSs.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help, add_arguments) in _commands().items():
+    for name, (func, help, entries) in _commands().items():
         sub = subs.add_parser(name, help=help)
-        add_arguments(sub)
+        for flags, settings in entries:
+            sub.add_argument(*flags, **settings)
         sub.set_defaults(func=func)
     return parser
 
 
 def _command_args(argv):
-    """``argv`` parsed by the parser of subcommand ``argv[0]`` alone, or
-    None if that parser would print (help, a usage error) or leaves
-    arguments over: the full parser answers those, byte for byte."""
+    """The namespace that a parser of subcommand ``argv[0]`` alone would
+    return for ``argv``, read from the command table, if ``argv`` has the
+    strict form (see the module docstring); None otherwise."""
     if not argv or argv[0] not in (commands := _commands()):
         return None
-    func, _, add_arguments = commands[argv[0]]
-    parser = argparse.ArgumentParser(prog="bbapart " + argv[0])
-    add_arguments(parser)
-    parser.set_defaults(func=func)
-    printed = io.StringIO()
-    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed), \
-            contextlib.suppress(SystemExit):
-        args, extra = parser.parse_known_args(argv[1:])
-        return None if extra else args
-    return None  # help or a usage error
+    func, _, entries = commands[argv[0]]
+    args, options, positionals, required = {"func": func}, {}, [], set()
+    for flags, settings in entries:
+        if not flags[0].startswith("-"):
+            positionals.append((flags[0], settings))
+            continue
+        # argparse's dest: the first long option string, else the first one
+        dest = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        options.update(dict.fromkeys(flags, (dest, settings)))
+        args[dest] = (False if settings.get("action") == "store_true"
+                      else settings.get("default"))
+        if settings.get("required"):
+            required.add(dest)
+    tokens, positionals = iter(argv[1:]), iter(positionals)
+    for token in tokens:
+        if not token.startswith("-"):
+            dest, settings = next(positionals, (None, None))
+            if dest is None:
+                return None  # a token left over
+        elif token in options:
+            dest, settings = options[token]
+            required.discard(dest)
+            if settings.get("action") == "store_true":
+                args[dest] = True
+                continue
+            token = next(tokens, "-")  # a missing value is argparse's error
+            if token.startswith("-"):
+                return None
+        else:
+            return None
+        try:
+            args[dest] = settings.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in settings and args[dest] not in settings["choices"]:
+            return None
+    if required or next(positionals, None):
+        return None
+    return types.SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:

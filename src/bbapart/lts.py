@@ -346,7 +346,9 @@ def per_lts(compute):
 def load_names(path) -> tuple:
     """Load a sidecar name map: a JSON object from state index to name.
     Raises ``ValueError`` on any other JSON value, or when an index below
-    the number of names is missing."""
+    the number of names is missing, or when a name would make a state
+    ambiguous: a name given twice, or one that ``int`` reads as the index
+    of another state."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not (isinstance(data, dict)
             and all(isinstance(name, str) for name in data.values())):
@@ -355,7 +357,18 @@ def load_names(path) -> tuple:
     missing = [i for i in range(len(names)) if i not in names]
     if missing:
         raise ValueError(f"state index {missing[0]} is missing")
-    return tuple(names[i] for i in range(len(names)))
+    names = tuple(names[i] for i in range(len(names)))
+    first: dict = {}
+    for i, name in enumerate(names):
+        if first.setdefault(name, i) != i:
+            raise ValueError(f"name {name!r} is given to states {first[name]} and {i}")
+        try:
+            other = int(name)
+        except ValueError:
+            continue
+        if other != i and 0 <= other < len(names):
+            raise ValueError(f"name {name!r} of state {i} reads as the index of state {other}")
+    return names
 
 
 @per_lts

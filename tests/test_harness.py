@@ -352,6 +352,24 @@ def test_cli_names_missing_an_index_say_which(capsys, tmp_path):
         f"error: cannot load names from {names}: state index 1 is missing\n")
 
 
+@pytest.mark.parametrize("sidecar, reason", [
+    ('{"0": "a", "1": "a", "2": "c"}', "name 'a' is given to states 0 and 1"),
+    ('{"0": "a", "1": "2", "2": "c"}', "name '2' of state 1 reads as the index of state 2"),
+])
+def test_cli_rejects_names_that_make_a_state_ambiguous(capsys, tmp_path, sidecar, reason):
+    aut = tmp_path / "t.aut"
+    aut.write_text('des (0,1,3)\n(0,"a",1)\n')
+    names = tmp_path / "n.json"
+    names.write_text(sidecar)
+    assert main(["check", "--lts", str(aut), "--names", str(names),
+                 "--kind", "dbranching", "0", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot load names from {names}: {reason}\n")
+    # A name that reads as its own state's index is no other state's.
+    names.write_text('{"0": "a", "1": "1", "2": "+2"}')
+    assert main(["parse", str(aut), "--names", str(names)]) == 0
+
+
 @pytest.mark.parametrize("sidecar", ["[1, 2]", '"x"', "null", "3",
                                      '{"0": 1, "1": 2}', '{"0": "s", "1": ["t"]}'])
 def test_cli_rejects_names_that_are_not_an_index_to_name_object(
