@@ -14,10 +14,8 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
-from dataclasses import dataclass, field
 
-from .logic import _fold
-from .lts import TAU, HashConsed, Lts, _bits, _union, reflexive_closure, tau_closure
+from .lts import TAU, HashConsed, Lts, _bits, _fold, _union, reflexive_closure, tau_closure
 
 # A round with at least this many fresh pairs per state is dense: its
 # columns come from one packed transpose and its stamps from block
@@ -38,48 +36,30 @@ class PairNotHeldError(ValueError):
     """Certificate requested for a pair that is not in the relation."""
 
 
-@dataclass(frozen=True)
 class DirectedPairRelation:
     """A relation over ordered state pairs: ``rows[p]`` is the bitmask of
     the q with (p, q) held, and ``cells[p * n_states + q]`` the round that
     first derived (p, q), its stamp, or 0 if it is not held: one compact
     cell per pair (an ``array`` of 2 bytes, or of 4 from round 65,536, and
-    empty while no pair is held).  The views ``holds`` (the pairs),
-    ``rounds`` (pair to stamp), ``layers`` (per round, the rows' masks of
-    its pairs) and :meth:`stamps` are computed on demand; only tests and
-    digests read ``layers``."""
+    empty while no pair is held).  The views ``holds`` (the pairs) and
+    ``rounds`` (pair to stamp) are built anew on each read."""
 
-    n_states: int
-    rows: tuple  # of int
-    cells: array = field(compare=False)
+    def __init__(self, n_states: int, rows: tuple, cells: array):
+        self.n_states, self.rows, self.cells = n_states, rows, cells
 
     def __contains__(self, pair) -> bool:
         p, q = pair
         return 0 <= p < self.n_states and 0 <= q and self.rows[p] >> q & 1 == 1
 
-    def stamps(self, p: int) -> list:
-        """Per state q, the round that first derived (p, q), 0 if none."""
-        n = self.n_states
-        return self.cells[p * n:(p + 1) * n].tolist() or [0] * n
-
-    @functools.cached_property
+    @property
     def holds(self) -> frozenset:
         states = range(self.n_states)
         return frozenset((p, q) for p, row in enumerate(self.rows)
                          for q in states if row >> q & 1)
 
-    @functools.cached_property
+    @property
     def rounds(self) -> dict:
         return {divmod(i, self.n_states): r for i, r in enumerate(self.cells) if r}
-
-    @functools.cached_property
-    def layers(self) -> tuple:
-        """``layers[r - 1][p]``: the mask of the q whose pair (p, q) has
-        stamp r."""
-        out = [[0] * self.n_states for _ in range(max(self.cells, default=0))]
-        for (p, q), r in self.rounds.items():
-            out[r - 1][p] |= 1 << q
-        return tuple(map(tuple, out))
 
 
 class _Progress:
@@ -154,6 +134,7 @@ def _saturate(n: int, rule, symmetric: bool, goal=None,
     """The least fixpoint of ``rule``, one round at a time, on bitmasks, or
     its rounds up to the first that holds every pair of a ``goal``: there a
     pair held has its stamp in the whole fixpoint, any other a later one.
+    A goal pair with a state out of range raises ``KeyError``.
 
     ``rows[p]`` holds the q with (p, q) held and ``cols[q]`` the p with
     (p, q) held, as of the previous round.  ``rule(rows, cols)`` gives, per
@@ -170,6 +151,8 @@ def _saturate(n: int, rule, symmetric: bool, goal=None,
     pair, however many rounds run.  Given the ``progress`` of an earlier
     call with the same rule, it resumes there.
     """
+    if goal is not None and not all(0 <= p < n and 0 <= q < n for p, q in goal):
+        raise KeyError("state index out of range")
     full = (1 << n) - 1
     s = progress or _Progress(n, symmetric)
     rows, cols, cells = s.rows, s.cols, s.cells

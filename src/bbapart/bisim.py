@@ -126,9 +126,3 @@ def refine_once_violations(l: Lts, kind: str, rel: BisimRelation) -> list:
     return [(p, q) for p, q in sorted(held)
             if not clause(p, q, held) or (symmetric and not clause(q, p, held))]
 
-
-def refine_with_order(l: Lts, kind: str, order) -> BisimRelation:
-    """Re-run a refinement with a custom pair scan order; the greatest
-    fixpoint is order-independent."""
-    _, make_clause, symmetric = _ENGINES[kind]
-    return _refine(l.n_states, make_clause(l), symmetric, order=list(order))

@@ -178,7 +178,7 @@ def cmd_distinguish(args) -> int:
     try:
         result = distinguish_pair(l, p, q)
     except NotApartError as exc:
-        return _emit({"apart": False, "bisimilar": exc.bisimilar,
+        return _emit({"apart": False, "bisimilar": True,
                       "message": str(exc)})
     formula = result["formula"]
     if args.simplify:

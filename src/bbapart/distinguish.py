@@ -32,7 +32,6 @@ from .logic import (
     _by_id,
     _children,
     _compare_keys,
-    _fold,
     _p_children,
     canonical_key,
     diamond_witness,
@@ -41,7 +40,7 @@ from .logic import (
     p_or_all,
     sort_key,
 )
-from .lts import TAU, HashConsed, Lts, _bits, reflexive_closure, tau_closure
+from .lts import TAU, HashConsed, Lts, _bits, _fold, reflexive_closure, tau_closure
 
 
 class InvalidDerivationError(ValueError):

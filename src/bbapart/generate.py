@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
-from .lts import TAU, ActionLabel, Lts
+from .lts import TAU, ActionLabel, HashConsed, Lts
 
 
 def _action_name(i: int) -> str:
@@ -27,27 +26,28 @@ def _action_name(i: int) -> str:
     return letter if i < 25 else f"{letter}{i // 25}"
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(HashConsed):
     """Parameters for :func:`random_lts`; densities are expected
     out-degrees per state."""
 
-    n_states: int = 8
-    visible_actions: int = 2
-    visible_density: float = 1.5
-    tau_density: float = 0.7
-    seed: int = 0
+    n_states: int
+    visible_actions: int
+    visible_density: float
+    tau_density: float
+    seed: int
 
-    def __post_init__(self):
-        if self.n_states < 1:
+    def __new__(cls, n_states=8, visible_actions=2, visible_density=1.5,
+                tau_density=0.7, seed=0):
+        if n_states < 1:
             raise ValueError("n_states must be >= 1")
-        if self.visible_actions < 0:
+        if visible_actions < 0:
             raise ValueError("visible_actions must be >= 0")
-        if not all(math.isfinite(d) and d >= 0
-                   for d in (self.visible_density, self.tau_density)):
+        if not all(math.isfinite(d) and d >= 0 for d in (visible_density, tau_density)):
             raise ValueError("densities must be finite and >= 0")
-        if self.visible_density > 0 and self.visible_actions == 0:
+        if visible_density > 0 and visible_actions == 0:
             raise ValueError("visible transitions need at least one action")
+        return super().__new__(cls, n_states, visible_actions, visible_density,
+                               tau_density, seed)
 
 
 def _draw_count(rng: random.Random, density: float) -> int:

@@ -20,6 +20,7 @@ from .lts import (
     Lts,
     NonReflexiveLtsError,
     _bits,
+    _fold,
     constrained_tau_reach,
     reflexive_closure,
 )
@@ -151,31 +152,6 @@ class PDiamond(PFormula):
 
 PTOP = PTop()
 PBOT = PBot()
-
-
-def _fold(root, children, build, memo=None, key=id):
-    """Bottom-up evaluation over a DAG, by an explicit post-order walk.
-
-    ``children(node)`` is called once per node, before any of its children
-    is built; ``build(node, results)`` gets the children's results in the
-    same order.  Each node is built once per ``key`` (object identity by
-    default), so shared sub-terms cost nothing extra and depth is
-    unbounded.  Pass ``memo`` to share results between calls.
-    """
-    memo = {} if memo is None else memo
-    stack = [(root, None)]
-    while stack:
-        node, kids = stack.pop()
-        k = key(node)
-        if k in memo:
-            continue
-        if kids is None:
-            kids = children(node)
-            stack.append((node, kids))
-            stack.extend((c, None) for c in reversed(kids))
-        else:
-            memo[k] = build(node, [memo[key(c)] for c in kids])
-    return memo[key(root)]
 
 
 def _p_children(f: PFormula) -> tuple:

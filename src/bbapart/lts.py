@@ -10,7 +10,6 @@ import functools
 import json
 import re
 import weakref
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import count, repeat
 from operator import and_, or_, rshift
@@ -128,25 +127,55 @@ def _union(x: int, masks) -> int:
     return out
 
 
+def _fold(root, children, build, memo=None, key=id):
+    """Bottom-up evaluation over a DAG, by an explicit post-order walk.
+
+    ``children(node)`` is called once per node, before any of its children
+    is built; ``build(node, results)`` gets the children's results in the
+    same order.  Each node is built once per ``key`` (object identity by
+    default), so shared sub-terms cost nothing extra and depth is
+    unbounded.  Pass ``memo`` to share results between calls.
+    """
+    memo = {} if memo is None else memo
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        k = key(node)
+        if k in memo:
+            continue
+        if kids is None:
+            kids = children(node)
+            stack.append((node, kids))
+            stack.extend((c, None) for c in reversed(kids))
+        else:
+            memo[k] = build(node, [memo[key(c)] for c in kids])
+    return memo[key(root)]
+
+
 def _step_order(step: tuple) -> tuple:
     """The one order of steps (source, label, target): by source, then
     label (see :attr:`ActionLabel.sort_key`), then target."""
     return step[0], step[1].sort_key, step[2]
 
 
-@dataclass(frozen=True)
 class Lts:
     """A finite LTS: state count, transition set, initial state.
 
-    ``names`` optionally maps each state index to a display string.
+    ``names`` optionally maps each state index to a display string.  A
+    value record like :class:`HashConsed`'s, but never interned: equal
+    LTSs compare and hash equal, and each keeps its own analyses.
     """
 
     n_states: int
     transitions: frozenset  # of (src: int, label: ActionLabel, dst: int)
-    initial: int = 0
-    names: tuple | None = None
+    initial: int
+    names: tuple | None
+    _fields = tuple(__annotations__)
+    __reduce__, __repr__ = HashConsed.__reduce__, HashConsed.__repr__
+    __setattr__ = __delattr__ = HashConsed.__setattr__
 
-    def __post_init__(self):
+    def __init__(self, n_states, transitions, initial=0, names=None):
+        vars(self).update(zip(self._fields, (n_states, transitions, initial, names)))
         if self.n_states < 1:
             raise ValueError("an LTS needs at least one state")
         if not 0 <= self.initial < self.n_states:
@@ -156,6 +185,12 @@ class Lts:
                 raise ValueError(f"transition endpoint out of range: {(src, str(label), dst)}")
         if self.names is not None and len(self.names) != self.n_states:
             raise ValueError("names tuple must cover every state")
+
+    def __eq__(self, other):
+        return type(other) is Lts and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
 
     @cached_property
     def actions(self) -> frozenset:

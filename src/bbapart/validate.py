@@ -10,8 +10,6 @@ formula enumeration vs. relational characterizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import apartness as ap
 from . import bisim as bs
 from .distinguish import (
@@ -47,12 +45,8 @@ KINDS = tuple(_APART_ENGINES)
 
 
 class NotApartError(ValueError):
-    """Distinguishing requested for a pair outside the apartness relation;
-    carries the bisimilarity verdict."""
-
-    def __init__(self, message: str, bisimilar: bool):
-        super().__init__(message)
-        self.bisimilar = bisimilar
+    """Distinguishing requested for a pair outside the apartness relation,
+    which is directed branching bisimilar, by duality."""
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +303,10 @@ def characterization_violations(l: Lts) -> list:
 # Reports
 
 
-@dataclass(frozen=True)
 class PropertyResult:
-    name: str
-    status: str  # "pass" | "fail"
-    counterexample: dict | None = None
+    def __init__(self, name: str, status: str, counterexample: dict | None = None):
+        # status: "pass" | "fail"
+        self.name, self.status, self.counterexample = name, status, counterexample
 
     def to_json(self):
         entry = {"name": self.name, "status": self.status}
@@ -409,8 +402,6 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
     ``symmetric-closure-branching`` checks."""
     if kind not in KINDS:
         raise KeyError(f"unknown relation kind: {kind!r}")
-    if not (0 <= p < l.n_states and 0 <= q < l.n_states):
-        raise KeyError("state index out of range")
     # Only the rounds the verdict needs; branching waits for (p, q), its
     # certificate's pick, and reads (q, p) off the fixpoint if never held.
     goal = ((p, q),) if kind == "branching" else ((p, q), (q, p))
@@ -441,7 +432,7 @@ def distinguish_pair(l: Lts, p: int, q: int) -> dict:
     if (p, q) not in apart:
         raise NotApartError(
             f"states {l.state_name(p)} and {l.state_name(q)} are not apart "
-            "— directed branching bisimilar", bisimilar=True)
+            "— directed branching bisimilar")
     derivation = ap.extract_derivation(l, apart, p, q)
     formula = formula_from_derivation(l, derivation)
     check = verify_distinguishes(l, p_embed(formula), p, q)

@@ -49,3 +49,14 @@ def fixg2():
 def s(l, name: str) -> int:
     """Resolve a display name to a state index."""
     return l.state_index(name)
+
+
+def layers(rel) -> tuple:
+    """``layers(rel)[r - 1][p]``: the mask of the q whose pair (p, q) has
+    round stamp r in the relation ``rel``, rebuilt from its stamp cells."""
+    n = rel.n_states
+    out = [[0] * n for _ in range(max(rel.cells, default=0))]
+    for i, r in enumerate(rel.cells):
+        if r:
+            out[r - 1][i // n] |= 1 << i % n
+    return tuple(map(tuple, out))

@@ -11,10 +11,11 @@ from bbapart.apartness import (
     extract_derivation,
     strong_apartness,
 )
+from bbapart.generate import GenParams, random_lts
 from bbapart.lts import Lts, parse_aut, reflexive_closure
 from bbapart.validate import KINDS, check_pair, distinguish_pair
 
-from conftest import load_fixture, s
+from conftest import layers, load_fixture, s
 from test_kernel import ENGINES, ltss
 
 
@@ -141,7 +142,7 @@ def test_the_relation_is_its_rows_split_into_disjoint_round_layers(l):
         assert all(((p, q) in rel) == ((p, q) in rel.holds)
                    for p in range(n) for q in range(n)), engine.__name__
         derived = [0] * n
-        for layer in rel.layers:
+        for layer in layers(rel):
             assert not any(d & m for d, m in zip(derived, layer)), engine.__name__
             derived = [d | m for d, m in zip(derived, layer)]
         assert tuple(derived) == rel.rows, engine.__name__
@@ -165,6 +166,26 @@ def test_queries_leave_the_per_pair_views_unbuilt():
                 distinguish_pair(l, p, q)
                 apart += 1
     assert apart and unbuilt()
+
+
+@pytest.mark.parametrize("p,q", [(-1, 0), (5, 0), (0, -1), (0, 5)])
+def test_pair_queries_reject_a_state_out_of_range(p, q):
+    l = random_lts(GenParams(5, seed=1))
+    out_of_range = pytest.raises(KeyError, match="state index out of range")
+    for kind in KINDS:
+        with out_of_range:
+            check_pair(l, kind, p, q)
+    with out_of_range:
+        check_pair(l, "dbranching", p, q, nonreflexive=True)
+    with out_of_range:
+        distinguish_pair(l, p, q)
+    for engine, _ in ENGINES:
+        # Before and after the whole fixpoint has run.
+        with out_of_range:
+            engine(l, ((p, q),))
+        engine(l)
+        with out_of_range:
+            engine(l, ((0, 1), (p, q)))
 
 
 def two_engine_branching_check(l, p, q) -> dict:

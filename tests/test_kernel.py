@@ -144,7 +144,7 @@ def test_engines_on_long_a_chains():
                                  | {(n + 1 + i, A, n + 2 + i) for i in range(n + 1)}))
     for engine, _ in ENGINES:
         rel = engine(l)
-        assert (n + 1, 0) in rel and rel.stamps(n + 1)[0] == n + 1, engine.__name__
+        assert (n + 1, 0) in rel and rel.rounds[(n + 1, 0)] == n + 1, engine.__name__
         assert (n + 2, 0) not in rel, engine.__name__
 
 

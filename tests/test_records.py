@@ -1,6 +1,7 @@
-"""Value records: the hash-consed ones print as the dataclasses they
-replaced did and refuse assignment, and only four classes of the package
-are still dataclasses."""
+"""Value records: they print as the dataclasses they replaced did and
+refuse assignment; equal hash-consed records are one object, and equal
+LTSs are two; and importing the CLI loads neither ``dataclasses`` nor
+``inspect``."""
 
 import json
 import os
@@ -14,6 +15,7 @@ import bbapart
 from bbapart.apartness import ChildStep, Derivation
 from bbapart.bisim import BisimRelation
 from bbapart.distinguish import VerifyResult
+from bbapart.generate import GenParams
 from bbapart.logic import (
     BOT,
     PBOT,
@@ -27,7 +29,9 @@ from bbapart.logic import (
     PDiamond,
     POr,
 )
-from bbapart.lts import TAU, ActionLabel
+from bbapart.lts import TAU, ActionLabel, Lts, parse_aut, tau_closure
+
+from conftest import DATA
 
 A = ActionLabel("a")
 LEAF = Derivation(1, 2, (1, A, 3), ())
@@ -61,6 +65,11 @@ RECORDS = [
      "right=2, witness=(1, ActionLabel(name='a'), 3), children=())),))"),
     (BisimRelation(2, frozenset({(1, 0)})),
      "BisimRelation(n_states=2, holds=frozenset({(1, 0)}))"),
+    (GenParams(5, seed=1),
+     "GenParams(n_states=5, visible_actions=2, visible_density=1.5, tau_density=0.7, seed=1)"),
+    (Lts(2, frozenset({(0, A, 1)})),
+     "Lts(n_states=2, transitions=frozenset({(0, ActionLabel(name='a'), 1)}), initial=0, "
+     "names=None)"),
 ]
 
 
@@ -85,28 +94,40 @@ def test_equal_records_are_one_object():
     assert (Derivation(0, 2, (0, TAU, 1), (ChildStep(2, 3, "left", LEAF),))
             is Derivation(0, 2, (0, TAU, 1), (ChildStep(2, 3, "left", LEAF),)))
     assert BisimRelation(2, frozenset({(1, 0)})) == BisimRelation(2, frozenset([(1, 0)]))
+    assert GenParams(seed=3) is GenParams(8, 2, 1.5, 0.7, 3)
 
 
-def test_only_four_classes_are_dataclasses():
-    # Every `dataclass` decoration made while the CLI is imported, recorded
-    # by a wrapper installed before the package loads.
+@pytest.mark.parametrize("kwargs,message", [
+    ({"n_states": 0}, "n_states must be >= 1"),
+    ({"visible_actions": -1}, "visible_actions must be >= 0"),
+    ({"tau_density": float("nan")}, "densities must be finite and >= 0"),
+    ({"visible_actions": 0}, "visible transitions need at least one action"),
+])
+def test_gen_params_rejects_bad_parameters(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GenParams(**kwargs)
+
+
+def test_one_text_parsed_twice_gives_two_equal_ltss_with_their_own_memos():
+    text = (DATA / "fixsr.aut").read_text()
+    first, second = parse_aut(text), parse_aut(text)
+    assert first == second and hash(first) == hash(second) and first is not second
+    assert tau_closure(first) is tau_closure(first)
+    assert tau_closure(first) is not tau_closure(second)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_argparse():
     code = """if True:
-        import dataclasses, json
-        seen, real = [], dataclasses.dataclass
-        def spy(cls=None, /, **kwargs):
-            def wrap(c):
-                seen.append(c.__module__ + "." + c.__qualname__)
-                return real(**kwargs)(c)
-            return wrap if cls is None else wrap(cls)
-        dataclasses.dataclass = spy
+        import json, sys
+        before = set(sys.modules)
         import bbapart.cli
-        print(json.dumps(sorted(n for n in seen if n.startswith("bbapart."))))
+        print(json.dumps(sorted(set(sys.modules) - before)))
     """
     src = str(Path(bbapart.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    assert json.loads(done.stdout) == [
-        "bbapart.apartness.DirectedPairRelation", "bbapart.generate.GenParams",
-        "bbapart.lts.Lts", "bbapart.validate.PropertyResult"]
+    added = set(json.loads(done.stdout))
+    assert "bbapart.cli" in added
+    assert not added & {"dataclasses", "inspect", "argparse"}
