@@ -353,7 +353,7 @@ class Derivation(HashConsed):
     witness: tuple  # (p, label, p1)
     children: tuple  # of ChildStep
 
-    def to_json(self, lts: Lts | None = None):
+    def to_json(self, lts: Lts | None = None, silent_label: str = "tau"):
         """The certificate as JSON, linear in the size of the DAG.
 
         A sub-derivation reached along two or more edges of the DAG is
@@ -361,7 +361,8 @@ class Derivation(HashConsed):
         an ``"id"`` (numbered from 0 in that order); its later occurrences
         are ``{"ref": id}``.  Replacing each ref by the full copy gives the
         unfolded tree, and a derivation without shared nodes is written as
-        that tree.
+        that tree.  Witness labels write the silent action as
+        ``silent_label``.
         """
         name = lts.state_name if lts is not None else str
         in_edges: dict = {}
@@ -385,7 +386,7 @@ class Derivation(HashConsed):
             out["conclusion"] = {"left": name(node.left),
                                  "right": name(node.right), "kind": "db"}
             out["witness"] = {"from": name(node.witness[0]),
-                              "label": str(node.witness[1]),
+                              "label": node.witness[1].token(silent_label),
                               "to": name(node.witness[2])}
             out["children"] = [
                 {"qPrime": name(c.q_prime), "qDoublePrime": name(c.q_dprime),

@@ -48,7 +48,8 @@ from .logic import (
 )
 from .lts import (TAU, AutParseError, Lts, load_names, parse_aut, reflexive_closure,
                   render_aut)
-from .validate import NotApartError, check_pair, cross_validate, distinguish_pair, run_campaign
+from .validate import (KINDS, NotApartError, check_pair, cross_validate, distinguish_pair,
+                       run_campaign)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -169,7 +170,8 @@ def cmd_check(args) -> int:
     if args.kind in ("strong", "dstrong") and TAU in l.actions:
         _complain("warning: strong relations treat the silent action as an "
                   "ordinary label on this LTS\n")
-    return _emit(check_pair(l, args.kind, p, q, nonreflexive=args.nonreflexive))
+    return _emit(check_pair(l, args.kind, p, q, nonreflexive=args.nonreflexive,
+                            silent_label=args.tau_label))
 
 
 def cmd_distinguish(args) -> int:
@@ -186,8 +188,8 @@ def cmd_distinguish(args) -> int:
     return _emit({
         "apart": True,
         "formula": format_pformula(formula, silent_label=args.tau_label),
-        "formulaJson": pformula_to_json(formula),
-        "derivation": result["derivation"].to_json(l),
+        "formulaJson": pformula_to_json(formula, silent_label=args.tau_label),
+        "derivation": result["derivation"].to_json(l, silent_label=args.tau_label),
     })
 
 
@@ -223,7 +225,7 @@ def cmd_convert(args) -> int:
         "distinguishes": True,
         "direction": check.direction,
         "formula": format_pformula(result, silent_label=args.tau_label),
-        "formulaJson": pformula_to_json(result),
+        "formulaJson": pformula_to_json(result, silent_label=args.tau_label),
         "resultDirection": verified.direction,
     })
 
@@ -292,8 +294,7 @@ def _commands() -> dict:
             (("lts",), {"metavar": "file"}), _TAU_LABEL, _NAMES)),
         "check": (cmd_check, "apartness/bisimilarity of a state pair", (
             *_LTS,
-            (("--kind",), {"required": True,
-                           "choices": ["strong", "dstrong", "branching", "dbranching"]}),
+            (("--kind",), {"required": True, "choices": KINDS}),
             (("--nonreflexive",), {"action": "store_true", "help":
                                    "use the four-rule engine on the raw LTS (dbranching)"}),
             *_PAIR)),

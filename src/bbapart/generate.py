@@ -14,6 +14,7 @@ visible, ``n_states`` silent), so below those densities no draw is skipped.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from .lts import TAU, ActionLabel, HashConsed, Lts
@@ -27,8 +28,9 @@ def _action_name(i: int) -> str:
 
 
 class GenParams(HashConsed):
-    """Parameters for :func:`random_lts`; densities are expected
-    out-degrees per state."""
+    """Parameters for :func:`random_lts`; densities are expected out-degrees
+    per state, kept as floats, and counts and the seed as ints, so that
+    equal parameters make one record whatever types they come in."""
 
     n_states: int
     visible_actions: int
@@ -38,6 +40,8 @@ class GenParams(HashConsed):
 
     def __new__(cls, n_states=8, visible_actions=2, visible_density=1.5,
                 tau_density=0.7, seed=0):
+        n_states, visible_actions, seed = map(operator.index,
+                                              (n_states, visible_actions, seed))
         if n_states < 1:
             raise ValueError("n_states must be >= 1")
         if visible_actions < 0:
@@ -46,8 +50,8 @@ class GenParams(HashConsed):
             raise ValueError("densities must be finite and >= 0")
         if visible_density > 0 and visible_actions == 0:
             raise ValueError("visible transitions need at least one action")
-        return super().__new__(cls, n_states, visible_actions, visible_density,
-                               tau_density, seed)
+        return super().__new__(cls, n_states, visible_actions, float(visible_density),
+                               float(tau_density), seed)
 
 
 def _draw_count(rng: random.Random, density: float) -> int:

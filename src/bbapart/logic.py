@@ -21,7 +21,7 @@ from .lts import (
     NonReflexiveLtsError,
     _bits,
     _fold,
-    constrained_tau_reach,
+    _union,
     reflexive_closure,
 )
 
@@ -79,19 +79,19 @@ def diamond(label: ActionLabel, f: Formula) -> Formula:
 
 
 def _classify(f: Formula, sub: list) -> tuple:
-    """Whether ``f`` is (positive, negative, good, modality-free), from the
-    same four of each child; :func:`_fold` classifies each node once."""
+    """Whether ``f`` is (positive, negative, good), from the same three of
+    each child; :func:`_fold` classifies each node once."""
     if isinstance(f, Top):
-        return (True, True, True, True)
+        return (True, True, True)
     if isinstance(f, Neg):
-        positive, negative, good, free = sub[0]
-        return (negative, positive, good, free)
+        positive, negative, good = sub[0]
+        return (negative, positive, good)
     if isinstance(f, And):
         return tuple(map(all, zip(*sub)))
     if isinstance(f, Diamond):
         # Positivity of a diamond depends only on its left-hand side.
-        (positive, _, good, _), right = sub
-        return (positive, False, positive and good and right[2], False)
+        (positive, _, good), right = sub
+        return (positive, False, positive and good and right[2])
     raise TypeError(f)
 
 
@@ -106,10 +106,6 @@ def is_negative(f: Formula) -> bool:
 def is_good(f: Formula) -> bool:
     """Every diamond occurrence has a positive left-hand side."""
     return _fold(f, _children, _classify)[2]
-
-
-def modality_free(f: Formula) -> bool:
-    return _fold(f, _children, _classify)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +402,16 @@ def p_satisfies(l: Lts, p: int, f: PFormula) -> bool:
 
 def _reach_inside(l: Lts, allowed: int) -> tuple:
     """Per state p, the mask of the states reachable from p along silent
-    paths inside the mask ``allowed`` (0 when p is outside it)."""
-    inside = frozenset(_bits(allowed))
-    return tuple(sum(1 << q for q in constrained_tau_reach(l, p, inside))
-                 for p in range(l.n_states))
+    paths inside the mask ``allowed`` (0 when p is outside it), by a
+    forward frontier search from each state."""
+    silent, out = l.succ_masks(TAU), []
+    for p in range(l.n_states):
+        seen = frontier = allowed & 1 << p
+        while frontier:
+            frontier = _union(frontier, silent) & allowed & ~seen
+            seen |= frontier
+        out.append(seen)
+    return tuple(out)
 
 
 def _p_sat(l: Lts, f: PFormula, memo: dict) -> int:
@@ -658,7 +660,7 @@ def format_formula(f: Formula, silent_label: str = "tau") -> str:
             out.append("(")
             stack += [")", g.right, " & ", g.left]
         elif isinstance(g, Diamond):
-            lab = silent_label if g.label.silent else g.label.name
+            lab = g.label.token(silent_label)
             lab = lab if _IDENT_RE.fullmatch(lab) else f'"{lab}"'
             if isinstance(g.left, Top):
                 out.append(f"<{lab}> ")
@@ -695,23 +697,24 @@ def formula_to_json(f: Formula):
     return _fold(f, _children, _formula_json_node)
 
 
-def _pformula_json_node(f: PFormula, sub: list) -> dict:
-    if isinstance(f, PTop):
-        return {"type": "top"}
-    if isinstance(f, PBot):
-        return {"type": "bot"}
-    if isinstance(f, PAnd):
-        return {"type": "and", "left": sub[0], "right": sub[1]}
-    if isinstance(f, POr):
-        return {"type": "or", "left": sub[0], "right": sub[1]}
-    if isinstance(f, PDiamond):
-        n_pos = len(f.pos)
-        return {"type": "pdiamond", "left": sub[0], "label": str(f.label),
-                "pos": sub[1:1 + n_pos], "neg": sub[1 + n_pos:]}
-    raise TypeError(f)
-
-
-def pformula_to_json(f: PFormula):
-    """JSON form of ``f``; a shared subformula gives one shared dict, which
+def pformula_to_json(f: PFormula, silent_label: str = "tau"):
+    """JSON form of ``f``, with the silent action written as
+    ``silent_label``; a shared subformula gives one shared dict, which
     ``json`` writes out at each place it occurs."""
-    return _fold(f, _p_children, _pformula_json_node)
+    def node(g: PFormula, sub: list) -> dict:
+        if isinstance(g, PTop):
+            return {"type": "top"}
+        if isinstance(g, PBot):
+            return {"type": "bot"}
+        if isinstance(g, PAnd):
+            return {"type": "and", "left": sub[0], "right": sub[1]}
+        if isinstance(g, POr):
+            return {"type": "or", "left": sub[0], "right": sub[1]}
+        if isinstance(g, PDiamond):
+            n_pos = len(g.pos)
+            return {"type": "pdiamond", "left": sub[0],
+                    "label": g.label.token(silent_label),
+                    "pos": sub[1:1 + n_pos], "neg": sub[1 + n_pos:]}
+        raise TypeError(g)
+
+    return _fold(f, _p_children, node)

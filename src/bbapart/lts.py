@@ -100,8 +100,11 @@ class ActionLabel(HashConsed):
         # Silent sorts before every visible label; visibles sort by name.
         return (0, "") if self.silent else (1, self.name)
 
-    def __str__(self) -> str:
-        return "tau" if self.silent else self.name
+    def token(self, silent_label: str = "tau") -> str:
+        """The name, or ``silent_label`` for the silent action."""
+        return silent_label if self.silent else self.name
+
+    __str__ = token
 
 
 TAU = ActionLabel()
@@ -363,8 +366,7 @@ def render_aut(l: Lts, silent_label: str = "tau") -> str:
     for src, label, dst in sorted(l.transitions, key=_step_order):
         if not label.silent and label.name == silent_label:
             raise ValueError(f"visible action {label.name!r} is named like the silent action")
-        token = silent_label if label.silent else label.name
-        lines.append(f'({src},"{token}",{dst})')
+        lines.append(f'({src},"{label.token(silent_label)}",{dst})')
     return "\n".join(lines) + "\n"
 
 
@@ -489,18 +491,3 @@ def tau_closure(l: Lts) -> TauClosure:
                     low[u] = min(low[u], low[v])
     return TauClosure(l, tuple(forward), components)
 
-
-def constrained_tau_reach(l: Lts, p: int, allowed) -> frozenset:
-    """States reachable from ``p`` along tau-paths lying entirely inside
-    ``allowed`` (both endpoints included).  Empty if ``p`` is not allowed."""
-    allowed = frozenset(allowed)
-    if p not in allowed:
-        return frozenset()
-    seen, frontier = {p}, [p]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in l.succ(cur, TAU):
-            if nxt in allowed and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)

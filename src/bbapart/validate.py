@@ -303,36 +303,25 @@ def characterization_violations(l: Lts) -> list:
 # Reports
 
 
-class PropertyResult:
-    def __init__(self, name: str, status: str, counterexample: dict | None = None):
-        # status: "pass" | "fail"
-        self.name, self.status, self.counterexample = name, status, counterexample
-
-    def to_json(self):
-        entry = {"name": self.name, "status": self.status}
-        if self.counterexample is not None:
-            entry["counterexample"] = self.counterexample
-        return entry
-
-
 class ValidationReport:
     def __init__(self, entries: tuple):
+        # Per property {"name", "status": "pass" | "fail"}, and with a
+        # failure its first "counterexample".
         self.entries = entries
 
     @property
     def ok(self) -> bool:
-        return all(e.status == "pass" for e in self.entries)
+        return all(e["status"] == "pass" for e in self.entries)
 
     def to_json(self):
-        return {"ok": self.ok, "properties": [e.to_json() for e in self.entries]}
+        return {"ok": self.ok, "properties": list(self.entries)}
 
 
-def _entry(name: str, violations: list) -> PropertyResult:
+def _entry(name: str, violations: list) -> dict:
     if not violations:
-        return PropertyResult(name, "pass")
-    head = dict(violations[0])
-    head["violationCount"] = len(violations)
-    return PropertyResult(name, "fail", head)
+        return {"name": name, "status": "pass"}
+    return {"name": name, "status": "fail", "counterexample":
+            dict(violations[0], violationCount=len(violations))}
 
 
 def cross_validate(l: Lts) -> ValidationReport:
@@ -371,18 +360,16 @@ def cross_validate(l: Lts) -> ValidationReport:
 
 def run_campaign(count: int = 200, seed: int = 0, **params) -> ValidationReport:
     """Cross-validate a stream of seeded random LTSs and aggregate per
-    property; a failing entry records the offending generator seed."""
-    agg: dict = {}
+    property: its first failure, whose counterexample records the
+    offending generator seed and state count."""
+    first: dict = {}
     for g in campaign_instances(count, seed, **params):
-        report = cross_validate(random_lts(g))
-        for e in report.entries:
-            agg.setdefault(e.name, None)
-            if e.status == "fail" and agg[e.name] is None:
-                agg[e.name] = dict(e.counterexample or {},
-                                   seed=g.seed, nStates=g.n_states)
-    return ValidationReport(tuple(
-        PropertyResult(name, "fail" if cx else "pass", cx)
-        for name, cx in agg.items()))
+        for e in cross_validate(random_lts(g)).entries:
+            if "counterexample" not in first.get(e["name"], ()):
+                first[e["name"]] = e
+                if "counterexample" in e:
+                    e["counterexample"].update(seed=g.seed, nStates=g.n_states)
+    return ValidationReport(tuple(first.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +377,7 @@ def run_campaign(count: int = 200, seed: int = 0, **params) -> ValidationReport:
 
 
 def check_pair(l: Lts, kind: str, p: int, q: int,
-               nonreflexive: bool = False) -> dict:
+               nonreflexive: bool = False, silent_label: str = "tau") -> dict:
     """Apartness in both directions plus the bisimilarity verdict; for the
     branching kinds an apart pair also carries a derivation certificate.
 
@@ -399,7 +386,8 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
     properties check that complement against the oracles.  Branching
     apartness is read off the symmetric closure of the directed relation,
     one fixpoint for verdict and certificate, as
-    ``symmetric-closure-branching`` checks."""
+    ``symmetric-closure-branching`` checks.  The certificate writes the
+    silent action as ``silent_label``."""
     if kind not in KINDS:
         raise KeyError(f"unknown relation kind: {kind!r}")
     # Only the rounds the verdict needs; branching waits for (p, q), its
@@ -420,7 +408,7 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
         # direction of the directed relation supplies one.
         db = ap.directed_branching_apartness(l, goal[:1]) if nonreflexive else apart
         pair = (p, q) if (p, q) in db else (q, p)
-        result["derivation"] = ap.extract_derivation(l, db, *pair).to_json(l)
+        result["derivation"] = ap.extract_derivation(l, db, *pair).to_json(l, silent_label)
     return result
 
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from bbapart.lts import load_names, parse_aut
+from bbapart.lts import TAU, load_names, parse_aut
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,6 +49,21 @@ def fixg2():
 def s(l, name: str) -> int:
     """Resolve a display name to a state index."""
     return l.state_index(name)
+
+
+def silent_reach(l, p: int, allowed) -> frozenset:
+    """The states reachable from ``p`` along silent paths inside the
+    collection ``allowed``, both ends included (empty when ``p`` is
+    outside it), by a search over state sets: a reference for the
+    package's mask searches."""
+    seen = {p} if p in allowed else set()
+    stack = list(seen)
+    while stack:
+        for q in l.succ(stack.pop(), TAU):
+            if q in allowed and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return frozenset(seen)
 
 
 def layers(rel) -> tuple:

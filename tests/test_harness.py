@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 import bbapart
 from bbapart import apartness, bisim
 from bbapart.cli import main
+from bbapart.distinguish import pformula_from_hmlu, simplify
 from bbapart.generate import GenParams, campaign_instances, random_lts
-from bbapart.lts import TAU, ActionLabel, Lts, render_aut
+from bbapart.logic import format_pformula, p_satisfies, parse_formula, pformula_to_json
+from bbapart.lts import TAU, ActionLabel, Lts, reflexive_closure, render_aut
 from bbapart.validate import (
     NotApartError,
     check_pair,
@@ -64,6 +66,26 @@ def test_gen_params_validation():
         GenParams(visible_actions=0, visible_density=1.0)
 
 
+@pytest.mark.parametrize("first, second", [(1, 1.0), (1.0, 1)])
+def test_gen_params_store_one_type_per_field(first, second):
+    # Records are interned by ==, so 1 and 1.0 find one record: its repr
+    # must not depend on which was built first.
+    a = GenParams(visible_density=first, tau_density=first, seed=7)
+    b = GenParams(visible_density=second, tau_density=second, seed=7)
+    assert a is b
+    assert repr(b) == ("GenParams(n_states=8, visible_actions=2, "
+                       "visible_density=1.0, tau_density=1.0, seed=7)")
+
+
+def test_gen_params_refuse_a_float_state_count_with_or_without_an_int_twin():
+    with pytest.raises(TypeError):
+        GenParams(n_states=5.0, seed=3)
+    twin = GenParams(n_states=5, seed=3)
+    with pytest.raises(TypeError):
+        random_lts(GenParams(n_states=5.0, seed=3))
+    assert random_lts(twin).n_states == 5
+
+
 def test_campaign_instances_cycle_sizes():
     sizes = [g.n_states for g in campaign_instances(9, seed=0)]
     assert sizes == [2, 3, 4, 5, 6, 7, 8, 2, 3]
@@ -72,8 +94,7 @@ def test_campaign_instances_cycle_sizes():
 def test_cross_validate_fixtures(fix1, fixsr, fixpq, fixg2):
     for l in (fix1, fixsr, fixpq, fixg2):
         report = cross_validate(l)
-        assert report.ok, [e.to_json() for e in report.entries
-                           if e.status != "pass"]
+        assert report.ok, [e for e in report.entries if e["status"] != "pass"]
 
 
 def test_cross_validate_corruption_detected(monkeypatch, fixsr):
@@ -89,9 +110,9 @@ def test_cross_validate_corruption_detected(monkeypatch, fixsr):
         return apartness.DirectedPairRelation(rel.n_states, tuple(rows), rel.cells)
     monkeypatch.setitem(engines, "dbranching", corrupted)
     report = cross_validate(fixsr)
-    failing = [e for e in report.entries if e.status != "pass"]
-    assert [e.name for e in failing] == ["duality-dbranching"]
-    assert failing[0].counterexample == {
+    failing = [e for e in report.entries if e["status"] != "pass"]
+    assert [e["name"] for e in failing] == ["duality-dbranching"]
+    assert failing[0]["counterexample"] == {
         "kind": "dbranching", "p": 0, "q": 5,
         "apart": (0, 5) not in engine(fixsr), "violationCount": 1}
 
@@ -112,10 +133,10 @@ def test_reflexive_invariance_fails_for_an_engine_that_reads_the_loops(
     monkeypatch.setattr(apartness, "directed_branching_apartness_nonreflexive",
                         loop_sensitive)
     assert not fixsr.has_reflexive_silent_steps
-    failing = [e for e in cross_validate(fixsr).entries if e.status != "pass"]
-    assert [e.name for e in failing] == ["reflexive-invariance"]
-    assert failing[0].counterexample == {"p": 0, "q": 0, "inOriginal": False,
-                                         "violationCount": 1}
+    failing = [e for e in cross_validate(fixsr).entries if e["status"] != "pass"]
+    assert [e["name"] for e in failing] == ["reflexive-invariance"]
+    assert failing[0]["counterexample"] == {"p": 0, "q": 0, "inOriginal": False,
+                                            "violationCount": 1}
 
 
 @settings(max_examples=15, deadline=None)
@@ -128,7 +149,7 @@ def test_cross_validate_random(seed):
 def test_run_campaign_small():
     report = run_campaign(count=8, seed=3)
     assert report.ok
-    assert {e.name for e in report.entries} >= {
+    assert {e["name"] for e in report.entries} >= {
         "duality-strong", "synthesis-soundness", "tau-extension"}
 
 
@@ -282,6 +303,58 @@ def test_cli_convert(capsys):
                         "--formula", "((<a> T | ~<b> T) <c> T)", "p2", "q1")
     assert code == 0
     assert out["formula"] == "(<a> T | <b> T)"
+
+
+def test_cli_convert_a_formula_that_does_not_distinguish(capsys):
+    code, out = run_cli(capsys, "convert", "--lts", str(DATA / "fixpq.aut"),
+                        "--formula", "T", "0", "1")
+    assert code == 0
+    assert out == {"distinguishes": False,
+                   "message": "formula does not distinguish the states"}
+
+
+@pytest.mark.parametrize("stem, text, p, q, direction, result", [
+    ("fixsr", "((<d> T) <c> T)", "s", "r", "leftHolds", "leftHolds"),
+    ("fixsr", "((<d> T) <c> T)", "r", "s", "rightHolds", "rightHolds"),
+    # A formula with a negation may give a P-formula that separates the
+    # pair the other way round; the pair is apart in both directions.
+    ("fixpq", "((<a> T | ~<b> T) <c> T)", "p2", "q1", "leftHolds", "rightHolds"),
+], ids=["s-r", "r-s", "p2-q1-reversed"])
+def test_cli_convert_simplify(capsys, stem, text, p, q, direction, result):
+    code, out = run_cli(capsys, "convert", "--lts", str(DATA / f"{stem}.aut"),
+                        "--names", str(DATA / f"{stem}.names.json"),
+                        "--formula", text, "--simplify", p, q)
+    assert code == 0 and out["distinguishes"] is True
+    assert (out["direction"], out["resultDirection"]) == (direction, result)
+    l = load_fixture(stem)
+    i, j = s(l, p), s(l, q)
+    f = simplify(pformula_from_hmlu(l, parse_formula(text), i, j), l)
+    assert out["formula"] == format_pformula(f)
+    assert out["formulaJson"] == pformula_to_json(f)
+    holds, fails = (i, j) if result == "leftHolds" else (j, i)
+    closed = reflexive_closure(l)
+    assert p_satisfies(closed, holds, f) and not p_satisfies(closed, fails, f)
+
+
+def test_cli_json_writes_the_silent_action_with_the_tau_label(capsys, tmp_path):
+    # With --tau-label i, "tau" is a visible action: the silent step 0 -> 1
+    # and the visible step 1 -> 2 must differ in JSON as in formula text.
+    aut = tmp_path / "i.aut"
+    aut.write_text('des (0,3,4)\n(0,"i",1)\n(1,"tau",2)\n(3,"tau",2)\n')
+    lts = ["--lts", str(aut), "--tau-label", "i"]
+    code, out = run_cli(capsys, "distinguish", *lts, "0", "2")
+    assert code == 0 and out["formula"] == "<i> <tau> T"
+    outer = out["formulaJson"]
+    assert [outer["label"], outer["pos"][0]["label"]] == ["i", "tau"]
+    assert out["derivation"]["witness"] == {"from": "0", "label": "i", "to": "1"}
+    code, out = run_cli(capsys, "check", *lts, "--kind", "dbranching", "0", "2")
+    assert code == 0
+    assert out["derivation"]["witness"] == {"from": "0", "label": "i", "to": "1"}
+    code, out = run_cli(capsys, "convert", *lts, "--formula", "<i> <tau> T", "0", "2")
+    assert code == 0 and out["formula"] == "<i> (<i> <tau> T & <tau> T)"
+    outer = out["formulaJson"]
+    assert [outer["label"], *(g["label"] for g in outer["pos"]),
+            outer["pos"][0]["pos"][0]["label"]] == ["i", "i", "tau", "tau"]
 
 
 def test_cli_random_deterministic(capsys, tmp_path):

@@ -35,11 +35,11 @@ from bbapart.logic import (
     is_good,
     is_negative,
     is_positive,
-    modality_free,
     p_embed,
     p_satisfies,
     parse_formula,
     pformula_to_json,
+    sat_set,
     satisfies,
     sort_key,
 )
@@ -49,11 +49,11 @@ from bbapart.lts import (
     Lts,
     NonReflexiveLtsError,
     TAU,
-    constrained_tau_reach,
+    TauClosure,
     reflexive_closure,
 )
 
-from conftest import load_fixture, s
+from conftest import load_fixture, s, silent_reach
 
 A, B, C, D = (ActionLabel(x) for x in "abcd")
 
@@ -86,19 +86,14 @@ def test_good_checks_right_side_recursively():
     assert not is_good(bad_inside)
 
 
-def test_modality_free():
-    assert modality_free(Neg(And(TOP, BOT)))
-    assert not modality_free(diamond(A, TOP))
-
-
 DEEP_CHAINS = [
     # (one more level around f, the classes of a 5,000-deep chain:
-    # positive, negative, good, modality-free)
-    (Neg, (True, True, True, True)),
-    (lambda f: And(f, TOP), (True, True, True, True)),
-    (lambda f: Diamond(f, A, TOP), (True, False, True, False)),
-    (lambda f: Diamond(TOP, A, f), (True, False, True, False)),
-    (lambda f: Diamond(TOP, A, Neg(f)), (True, False, True, False)),
+    # positive, negative, good)
+    (Neg, (True, True, True)),
+    (lambda f: And(f, TOP), (True, True, True)),
+    (lambda f: Diamond(f, A, TOP), (True, False, True)),
+    (lambda f: Diamond(TOP, A, f), (True, False, True)),
+    (lambda f: Diamond(TOP, A, Neg(f)), (True, False, True)),
 ]
 
 
@@ -110,7 +105,7 @@ def test_classifiers_on_5000_deep_chains(wrap, expected):
     f = TOP
     for _ in range(5000):
         f = wrap(f)
-    assert (is_positive(f), is_negative(f), is_good(f), modality_free(f)) == expected
+    assert (is_positive(f), is_negative(f), is_good(f)) == expected
     bad = Diamond(Neg(diamond(A, TOP)), B, f)
     assert not is_good(bad) and is_good(Neg(Neg(f)))
 
@@ -329,6 +324,19 @@ def test_diamond_witness_reuses_evaluator():
     assert ev.holds(s(l, "s"), Diamond(delta, C, TOP))
 
 
+@pytest.mark.parametrize("stem", ["fix1", "fixsr", "fixpq", "fixg2"])
+def test_sat_set_agrees_with_the_evaluator(stem):
+    closed = reflexive_closure(load_fixture(stem))
+    ev = SatEvaluator(closed)
+    for g in enumerate_pformulas(closed.visible_actions, 2):
+        f = p_embed(g)
+        sets = sat_set(closed, f)
+        assert f in sets
+        for h, states in sets.items():
+            assert states == frozenset(p for p in range(closed.n_states)
+                                       if ev.mask(h) >> p & 1)
+
+
 def _reference_sat(l, f) -> frozenset:
     """The semantics read directly: a diamond holds at p when some state
     silently reachable from p inside the left set has a labelled step into
@@ -342,7 +350,7 @@ def _reference_sat(l, f) -> frozenset:
     left, right = _reference_sat(l, f.left), _reference_sat(l, f.right)
     return frozenset(
         p for p in range(l.n_states)
-        if any(dst in right for p1 in constrained_tau_reach(l, p, left)
+        if any(dst in right for p1 in silent_reach(l, p, left)
                for dst in l.succ(p1, f.label)))
 
 
@@ -476,7 +484,7 @@ def _reference_p_sat(l, f) -> frozenset:
     left = _reference_p_sat(l, f.left)
     return frozenset(
         p for p in states
-        if any(dst in right for p1 in constrained_tau_reach(l, p, left)
+        if any(dst in right for p1 in silent_reach(l, p, left)
                for dst in l.succ(p1, f.label)))
 
 
@@ -494,9 +502,12 @@ def test_p_satisfies_is_independent_of_the_checker(monkeypatch):
     formulas = enumerate_pformulas(closed.visible_actions, 2)
     expected = [_reference_p_sat(closed, g) for g in formulas]
 
+    # Neither the checker nor the silent closure that the engines share.
     def refuse(*args, **kwargs):
         raise AssertionError("the P-evaluator reached the checker")
     monkeypatch.setattr(Lts, "preimage", refuse)
+    monkeypatch.setattr(Lts, "reaching", refuse)
+    monkeypatch.setattr(TauClosure, "__init__", refuse)
     monkeypatch.setattr(logic, "SatEvaluator", refuse)
     monkeypatch.setattr(SatEvaluator, "__init__", refuse)
     monkeypatch.setattr(SatEvaluator, "mask", refuse)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbapart.generate import GenParams, random_lts
+from bbapart.logic import _reach_inside
 from bbapart.lts import (
     TAU,
     ActionLabel,
     AutParseError,
     Lts,
     _STEP,
-    constrained_tau_reach,
     parse_aut,
     reflexive_closure,
     render_aut,
@@ -20,7 +20,7 @@ from bbapart.lts import (
 )
 from bbapart.validate import check_pair
 
-from conftest import s
+from conftest import s, silent_reach
 from test_kernel import ltss
 
 
@@ -113,16 +113,14 @@ def test_triples(fixpq):
     assert tc.triples(q1, ActionLabel("c")) == ((q2, qc),)
 
 
-def test_constrained_tau_reach(fixsr):
+def test_reach_inside(fixsr):
     closed = reflexive_closure(fixsr)
     st_ = s(fixsr, "s")
-    assert constrained_tau_reach(closed, st_, set()) == frozenset()
-    assert constrained_tau_reach(closed, st_, {st_}) == {st_}
+    assert _reach_inside(closed, 0)[st_] == 0
+    assert _reach_inside(closed, 1 << st_)[st_] == 1 << st_
     # With every state allowed, the constrained reach is the tau closure.
-    every = range(fixsr.n_states)
-    reach = tau_closure(closed).reach
-    for p in every:
-        assert constrained_tau_reach(closed, p, every) == reach[p]
+    every = (1 << fixsr.n_states) - 1
+    assert _reach_inside(closed, every) == tau_closure(closed).forward
 
 
 @settings(max_examples=300, deadline=None)
@@ -133,7 +131,7 @@ def test_tau_closure_matches_a_set_based_search(l, closed):
         l = reflexive_closure(l)
     tc = tau_closure(l)
     states = range(l.n_states)
-    reach = [constrained_tau_reach(l, q, states) for q in states]
+    reach = [silent_reach(l, q, states) for q in states]
     assert tc.forward == tuple(sum(1 << q1 for q1 in r) for r in reach)
     assert tc.back == tuple(sum(1 << q for q in states if q1 in reach[q])
                             for q1 in states)
@@ -159,6 +157,17 @@ def test_dbranching_check_on_a_long_silent_chain_stays_small():
         tracemalloc.stop()
     assert result["bisimilar"] is True
     assert peak < 40_000_000
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((0, frozenset()), "at least one state"),
+    ((2, frozenset(), 2), "initial state out of range"),
+    ((2, frozenset({(0, TAU, 2)})), "endpoint out of range"),
+    ((2, frozenset(), 0, ("a",)), "cover every state"),
+])
+def test_lts_refuses_malformed_parts(parts, message):
+    with pytest.raises(ValueError, match=message):
+        Lts(*parts)
 
 
 def test_state_name_resolution(fixsr):

@@ -25,8 +25,8 @@ def _instance():
 
 
 def _failures(l) -> dict:
-    return {e.name: e.counterexample
-            for e in validate.cross_validate(l).entries if e.status != "pass"}
+    return {e["name"]: e["counterexample"]
+            for e in validate.cross_validate(l).entries if e["status"] != "pass"}
 
 
 def _record(g, **fields) -> dict:
