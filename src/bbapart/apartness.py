@@ -25,6 +25,8 @@ _DENSE = 8
 # Cells per block of a dense round's stamp writes, which bounds the size
 # of their temporaries.
 _BLOCK = 1 << 16
+# The first stamp that 2-byte cells cannot hold: its round widens them to 4.
+_WIDE = 1 << 16
 _ZERO_ONE = str.maketrans("01", "\0\1")
 
 
@@ -60,18 +62,6 @@ class DirectedPairRelation:
     @property
     def rounds(self) -> dict:
         return {divmod(i, self.n_states): r for i, r in enumerate(self.cells) if r}
-
-
-class _Progress:
-    """A least fixpoint as far as it has run: the rows, the columns (the
-    rows, for a symmetric relation), the stamp cells and the number of
-    rounds so far, and ``done`` once a round finds nothing new.  It only
-    grows."""
-
-    def __init__(self, n: int, symmetric: bool):
-        self.rows, self.round, self.done = [0] * n, 0, False
-        self.cols = self.rows if symmetric else [0] * n
-        self.cells = array("H")  # sized by the first round that adds a pair
 
 
 @functools.lru_cache(maxsize=4)
@@ -129,8 +119,7 @@ def _stamp(cells: array, new: list, r: int) -> None:
         cells[i:j] = array(cells.typecode, total.to_bytes((j - i) * size, order))
 
 
-def _saturate(n: int, rule, symmetric: bool, goal=None,
-              progress: _Progress | None = None) -> DirectedPairRelation:
+def _saturate(n: int, rule, symmetric: bool, goal=None) -> DirectedPairRelation:
     """The least fixpoint of ``rule``, one round at a time, on bitmasks, or
     its rounds up to the first that holds every pair of a ``goal``: there a
     pair held has its stamp in the whole fixpoint, any other a later one.
@@ -148,27 +137,24 @@ def _saturate(n: int, rule, symmetric: bool, goal=None,
     each, and a dense one (``_DENSE`` fresh pairs per state or more) takes
     one packed transpose for its columns and block arithmetic for its
     stamps, with O(n) Python steps.  The stamps take one compact cell per
-    pair, however many rounds run.  Given the ``progress`` of an earlier
-    call with the same rule, it resumes there.
+    pair, however many rounds run.
     """
     if goal is not None and not all(0 <= p < n and 0 <= q < n for p, q in goal):
         raise KeyError("state index out of range")
-    full = (1 << n) - 1
-    s = progress or _Progress(n, symmetric)
-    rows, cols, cells = s.rows, s.cols, s.cells
-    while not (s.done or goal is not None
-               and all(rows[p] >> q & 1 for p, q in goal)):
-        if s.round > n * n:
+    full, rows, r = (1 << n) - 1, [0] * n, 0
+    cols = rows if symmetric else [0] * n
+    cells = array("H")  # sized by the first round that adds a pair
+    while goal is None or not all(rows[p] >> q & 1 for p, q in goal):
+        if r > n * n:
             raise InternalInvariantError("fixpoint failed to stabilize")
-        fresh = [f & full & ~r for f, r in zip(rule(rows, cols), rows)]
+        fresh = [f & full & ~row for f, row in zip(rule(rows, cols), rows)]
         if not any(fresh):
-            s.done = True
             break
-        s.round = r = s.round + 1
+        r += 1
         if r == 1:
-            s.cells = cells = array("H", [0]) * (n * n)
-        elif r == 1 << 16:  # past what 2-byte cells hold
-            s.cells = cells = array("I", cells)
+            cells = array("H", [0]) * (n * n)
+        elif r == _WIDE:
+            cells = array("I", cells)
         dense = sum(map(int.bit_count, fresh)) >= _DENSE * n
         for p, f in enumerate(fresh):
             if f >> p & 1:
@@ -192,8 +178,7 @@ def _saturate(n: int, rule, symmetric: bool, goal=None,
                 cols[q] |= c
             _stamp(cells, [f | c for f, c in zip(fresh, columns)]
                    if symmetric else fresh, r)
-    # A prefix's cells must not see the later rounds' stamps.
-    return DirectedPairRelation(n, tuple(rows), cells if s.done else cells[:])
+    return DirectedPairRelation(n, tuple(rows), cells)
 
 
 class _Memo(dict):
@@ -285,13 +270,13 @@ def _four_rule(l: Lts):
 
 
 def _fixpoint(l: Lts, kind: str) -> _Memo:
-    """Engine ``kind``'s relation per ``goal``, a tuple of pairs or None: one
-    record per LTS and kind, with the rule, its memos and its progress."""
+    """Engine ``kind``'s relation per ``goal``, a tuple of pairs or None,
+    each from one run of the rule, which is kept per LTS and kind with its
+    memos."""
     symmetric = kind in ("strong", "branching")
     rule = (_four_rule(l) if kind == "nonreflexive" else
             _step_rule(l, branching=kind in ("branching", "dbranching")))
-    progress = _Progress(l.n_states, symmetric)
-    return _Memo(lambda goal: _saturate(l.n_states, rule, symmetric, goal, progress))
+    return _Memo(lambda goal: _saturate(l.n_states, rule, symmetric, goal))
 
 
 def strong_apartness(l: Lts, goal=None) -> DirectedPairRelation:

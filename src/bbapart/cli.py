@@ -12,8 +12,8 @@ the full parser that ``build_parser`` builds from the same table, so
 help and error text is argparse's, byte for byte.
 
 Exit codes: 0 for any successful answer (including "not apart" and "does
-not distinguish"), 2 for usage, input-parse or output errors, 3 when an
-internal invariant check fails.
+not distinguish"), 2 for usage, input-parse or output errors and for a
+``MemoryError``, 3 when an internal invariant check fails.
 """
 
 from __future__ import annotations
@@ -167,11 +167,15 @@ def cmd_parse(args) -> int:
 def cmd_check(args) -> int:
     l = _load_lts(args)
     p, q = _state(l, args.p), _state(l, args.q)
+    try:
+        result = check_pair(l, args.kind, p, q, nonreflexive=args.nonreflexive,
+                            silent_label=args.tau_label)
+    except ValueError as exc:  # --nonreflexive with another kind
+        raise CliError(str(exc)) from exc
     if args.kind in ("strong", "dstrong") and TAU in l.actions:
         _complain("warning: strong relations treat the silent action as an "
                   "ordinary label on this LTS\n")
-    return _emit(check_pair(l, args.kind, p, q, nonreflexive=args.nonreflexive,
-                            silent_label=args.tau_label))
+    return _emit(result)
 
 
 def cmd_distinguish(args) -> int:
@@ -296,7 +300,7 @@ def _commands() -> dict:
             *_LTS,
             (("--kind",), {"required": True, "choices": KINDS}),
             (("--nonreflexive",), {"action": "store_true", "help":
-                                   "use the four-rule engine on the raw LTS (dbranching)"}),
+                                   "the four-rule engine on the raw LTS (dbranching only)"}),
             *_PAIR)),
         "distinguish": (cmd_distinguish, "synthesize a distinguishing P-formula", (
             *_LTS, _SIMPLIFY, *_PAIR)),
@@ -419,6 +423,9 @@ def main(argv=None) -> int:
             if isinstance(exc, BrokenPipeError):
                 sys.stdout = open(os.devnull, "w")
         _complain(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:
+        _complain("error: out of memory\n")
         return EXIT_USAGE
     except InternalInvariantError as exc:
         _complain(f"internal error: {exc}\n")

@@ -387,13 +387,16 @@ def check_pair(l: Lts, kind: str, p: int, q: int,
     apartness is read off the symmetric closure of the directed relation,
     one fixpoint for verdict and certificate, as
     ``symmetric-closure-branching`` checks.  The certificate writes the
-    silent action as ``silent_label``."""
+    silent action as ``silent_label``.  ``nonreflexive`` (the four-rule
+    engine) is for kind dbranching only: with another it is a ValueError."""
     if kind not in KINDS:
         raise KeyError(f"unknown relation kind: {kind!r}")
+    if nonreflexive and kind != "dbranching":
+        raise ValueError(f"nonreflexive applies to kind dbranching only, not {kind}")
     # Only the rounds the verdict needs; branching waits for (p, q), its
     # certificate's pick, and reads (q, p) off the fixpoint if never held.
     goal = ((p, q),) if kind == "branching" else ((p, q), (q, p))
-    if kind == "dbranching" and nonreflexive:
+    if nonreflexive:
         apart = ap.directed_branching_apartness_nonreflexive(l, goal)
     else:
         apart = _APART_ENGINES["dbranching" if kind == "branching" else kind](l, goal)

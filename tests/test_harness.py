@@ -177,6 +177,17 @@ def test_check_pair_nonreflexive_engine(fixsr):
     assert res["apart"]
 
 
+@pytest.mark.parametrize("kind", ["strong", "dstrong", "branching"])
+def test_nonreflexive_with_another_kind_is_a_usage_error(capsys, fixsr, kind):
+    # The four-rule engine answers directed branching apartness only.
+    with pytest.raises(ValueError, match="dbranching only"):
+        check_pair(fixsr, kind, 0, 5, nonreflexive=True)
+    assert main(["check", "--lts", str(DATA / "fixsr.aut"), "--kind", kind,
+                 "--nonreflexive", "0", "5"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: nonreflexive applies to kind dbranching only, not {kind}\n")
+
+
 def test_check_pair_bad_kind(fixsr):
     with pytest.raises(KeyError):
         check_pair(fixsr, "weak", 0, 1)
@@ -298,11 +309,20 @@ def test_cli_mc_forward_tau_chain(capsys, tmp_path, formula):
 
 
 def test_cli_convert(capsys):
-    code, out = run_cli(capsys, "convert", "--lts", str(DATA / "fixpq.aut"),
-                        "--names", str(DATA / "fixpq.names.json"),
+    # A formula that separates p2 and q1 makes them branching apart and
+    # says nothing of the direction: this P-formula holds at q1.
+    lts = ["--lts", str(DATA / "fixpq.aut"), "--names", str(DATA / "fixpq.names.json")]
+    code, out = run_cli(capsys, "convert", *lts,
                         "--formula", "((<a> T | ~<b> T) <c> T)", "p2", "q1")
     assert code == 0
-    assert out["formula"] == "(<a> T | <b> T)"
+    assert (out["formula"], out["direction"], out["resultDirection"]) == (
+        "(<a> T | <b> T)", "leftHolds", "rightHolds")
+    # distinguish gives a formula in the asked direction.
+    code, out = run_cli(capsys, "distinguish", *lts, "p2", "q1")
+    assert code == 0 and out["apart"] is True
+    for state, holds in (("p2", True), ("q1", False)):
+        code, mc = run_cli(capsys, "mc", *lts, "--state", state, "--formula", out["formula"])
+        assert code == 0 and mc["holds"] is holds
 
 
 def test_cli_convert_a_formula_that_does_not_distinguish(capsys):

@@ -178,6 +178,27 @@ def _bbapart_env(unbuffered: str) -> dict:
                 filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+@pytest.mark.parametrize("aut", [
+    'des (0,1,100000)\n(0,"a",0)\n',  # the closure's self-loops: n^2/2 mask bits
+    "des (0,0,300000000)\n",           # the reflexive closure's steps
+], ids=["masks", "closure"])
+def test_running_out_of_memory_exits_2_with_one_error_line(tmp_path, aut):
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "m.aut"
+    path.write_text(aut)
+    limit = 256 << 20
+
+    def limit_memory():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    done = subprocess.run(
+        [sys.executable, "-m", "bbapart", "check", "--lts", str(path),
+         "--kind", "dbranching", "0", "1"],
+        capture_output=True, text=True, env=_bbapart_env(""),
+        preexec_fn=limit_memory, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        cli.EXIT_USAGE, "", "error: out of memory\n")
+
+
 FIXSR = str(DATA / "fixsr.aut")
 STRONG_CHECK = ["check", "--lts", FIXSR, "--kind", "strong", "0", "5"]
 BAD_STATE = ["mc", "--lts", FIXSR, "--state", "99", "--formula", "T"]

@@ -91,22 +91,25 @@ def test_a_relation_without_pairs_has_no_cells():
 
 @pytest.mark.parametrize("dense_at", [ALWAYS_DENSE, NEVER_DENSE])
 def test_stamps_past_two_bytes_widen_the_cells(monkeypatch, dense_at):
-    # A fixpoint resumed after round 65,533 that adds one pair per round:
-    # the cells widen to 4 bytes at round 65,536 and keep the older stamps.
+    # Round 65,536 widens the cells to 4 bytes.  A run that long takes
+    # seconds, so the widening round is lowered to 4 here, in a run that
+    # adds one pair per round: the cells widen there and keep the older
+    # stamps.
+    assert ap._WIDE == 1 << 16
+    assert array("H", [ap._WIDE - 1])[0] == ap._WIDE - 1
+    with pytest.raises(OverflowError):
+        array("H", [ap._WIDE])
     monkeypatch.setattr(ap, "_DENSE", dense_at)
+    monkeypatch.setattr(ap, "_WIDE", 4)
     n = 257
-    progress = ap._Progress(n, symmetric=False)
-    progress.round, progress.rows[0] = 65_533, 0b10
-    progress.cells = array("H", [0]) * (n * n)
-    progress.cells[1] = 65_533
-    pairs = iter([(0, q) for q in range(2, 7)])
+    pairs = iter([(0, q) for q in range(1, 7)])
 
     def rule(rows, cols):
         p, q = next(pairs)
         fire = [0] * n
         fire[p] = 1 << q
         return fire
-    rel = ap._saturate(n, rule, symmetric=False, goal=((0, 6),), progress=progress)
+    rel = ap._saturate(n, rule, symmetric=False, goal=((0, 6),))
     assert rel.cells.typecode == "I"
-    assert rel.cells[:8].tolist() == [0, 65_533, 65_534, 65_535, 65_536, 65_537, 65_538, 0]
+    assert rel.cells[:8].tolist() == [0, 1, 2, 3, 4, 5, 6, 0]
     assert rel.rows[0] == 0b1111110
