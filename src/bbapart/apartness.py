@@ -4,7 +4,8 @@
 All engines share one round-based bottom-up saturation kernel: each round
 evaluates the rule body for every ordered pair against the previous
 round's relation, so round stamps are deterministic and certificate
-extraction is well-founded.  The relation is kept as one bitmask of
+extraction is well-founded; the last round of a goal run evaluates only
+the rows that decide the goal.  The relation is kept as one bitmask of
 states per state, and a rule evaluates a row at once; each pair's round
 stamp is one compact cell.
 """
@@ -43,8 +44,9 @@ class DirectedPairRelation:
     the q with (p, q) held, and ``cells[p * n_states + q]`` the round that
     first derived (p, q), its stamp, or 0 if it is not held: one compact
     cell per pair (an ``array`` of 2 bytes, or of 4 from round 65,536, and
-    empty while no pair is held).  The views ``holds`` (the pairs) and
-    ``rounds`` (pair to stamp) are built anew on each read."""
+    empty while no pair is held).  A goal's relation lacks the pairs that
+    the rows its last round skipped would add.  The views ``holds`` (the
+    pairs) and ``rounds`` (pair to stamp) are built anew on each read."""
 
     def __init__(self, n_states: int, rows: tuple, cells: array):
         self.n_states, self.rows, self.cells = n_states, rows, cells
@@ -121,15 +123,21 @@ def _stamp(cells: array, new: list, r: int) -> None:
 
 def _saturate(n: int, rule, symmetric: bool, goal=None) -> DirectedPairRelation:
     """The least fixpoint of ``rule``, one round at a time, on bitmasks, or
-    its rounds up to the first that holds every pair of a ``goal``: there a
-    pair held has its stamp in the whole fixpoint, any other a later one.
-    A goal pair with a state out of range raises ``KeyError``.
+    its rounds up to the first that holds every pair of a ``goal``.  A goal
+    pair with a state out of range raises ``KeyError``.
 
     ``rows[p]`` holds the q with (p, q) held and ``cols[q]`` the p with
-    (p, q) held, as of the previous round.  ``rule(rows, cols)`` gives, per
-    state p, the mask of the q at which the rule body fires for (p, q);
-    the pairs that are not yet held (with their transposes, for a
-    symmetric relation) are added, and their cells get the round's stamp.
+    (p, q) held, as of the previous round.  ``rule(rows, cols, *parts)``
+    fills one list ``fire`` by state, a part of the states at a time, and
+    yields it after each part: ``fire[p]`` is the mask of the q at which
+    the rule body fires for (p, q).  The pairs that are not yet held (with
+    their transposes, for a symmetric relation) are added, and their cells
+    get the round's stamp.  Without a goal the one part is every state; a
+    goal's first is its deciding rows, of p for each goal pair (p, q) and
+    of q too if symmetric, as no other row adds a goal pair.  A round where
+    they hold the goal keeps only their pairs and ends the run, so a pair
+    held has its stamp in the whole fixpoint, any other one no lower than
+    the last round.
     One round costs what the rule costs, so a rule that walks the
     out-steps of every state and ORs n-bit masks costs
     O(sum_p out(p) * n) word operations.  The bookkeeping costs less: a
@@ -141,13 +149,22 @@ def _saturate(n: int, rule, symmetric: bool, goal=None) -> DirectedPairRelation:
     """
     if goal is not None and not all(0 <= p < n and 0 <= q < n for p, q in goal):
         raise KeyError("state index out of range")
+    deciding = {x for pair in goal or () for x in (pair if symmetric else pair[:1])}
+    parts = ((range(n),) if goal is None else
+             (deciding, [p for p in range(n) if p not in deciding]))
     full, rows, r = (1 << n) - 1, [0] * n, 0
     cols = rows if symmetric else [0] * n
     cells = array("H")  # sized by the first round that adds a pair
-    while goal is None or not all(rows[p] >> q & 1 for p, q in goal):
+    held = False
+    while not held:
         if r > n * n:
             raise InternalInvariantError("fixpoint failed to stabilize")
-        fresh = [f & full & ~row for f, row in zip(rule(rows, cols), rows)]
+        step = rule(rows, cols, *parts)
+        fire = next(step)
+        # Only the deciding rows can add a goal pair.
+        held = goal is not None and all(
+            (rows[p] | fire[p]) >> q & 1 or symmetric and fire[q] >> p & 1 for p, q in goal)
+        fresh = [f & full & ~row for f, row in zip(fire if held else next(step, fire), rows)]
         if not any(fresh):
             break
         r += 1
@@ -223,18 +240,19 @@ def _step_rule(l: Lts, branching: bool):
     n = l.n_states
     escape = _escaping(l)
 
-    def rule(rows, cols):
+    def rule(rows, cols, *parts):
         held = [r | c for r, c in zip(rows, cols)]
-        fire = []
-        for p in range(n):
-            f = 0
-            for label, p1 in l.out(p):
-                blocked = escape[label, held[p1]]
-                if branching:
-                    blocked = reach[blocked & ~rows[p]]
-                f |= ~blocked
-            fire.append(f)
-        return fire
+        fire = [0] * n
+        for part in parts:
+            for p in part:
+                f = 0
+                for label, p1 in l.out(p):
+                    blocked = escape[label, held[p1]]
+                    if branching:
+                        blocked = reach[blocked & ~rows[p]]
+                    f |= ~blocked
+                fire[p] = f
+            yield fire
     return rule
 
 
@@ -248,24 +266,25 @@ def _four_rule(l: Lts):
     reach = _reaching(l)
     escape = _escaping(l)
 
-    def rule(rows, cols):
-        fire = []
-        for p in range(n):
-            left = rows[p]
-            # Apart from every state in q's silent closure.
-            f = ~reach[full & ~(left | cols[p])]
-            for label, p1 in l.out(p):
-                blocked = reach[escape[label, rows[p1] | cols[p1]] & ~left]
-                if label.silent:
-                    # Weakening along a silent step on the left; the
-                    # silent-step rule with the extra right-to-left
-                    # hypothesis (q, p1).
-                    f |= rows[p1] | (cols[p1] & ~blocked)
-                else:
-                    # Visible-step rule.
-                    f |= ~blocked
-            fire.append(f)
-        return fire
+    def rule(rows, cols, *parts):
+        fire = [0] * n
+        for part in parts:
+            for p in part:
+                left = rows[p]
+                # Apart from every state in q's silent closure.
+                f = ~reach[full & ~(left | cols[p])]
+                for label, p1 in l.out(p):
+                    blocked = reach[escape[label, rows[p1] | cols[p1]] & ~left]
+                    if label.silent:
+                        # Weakening along a silent step on the left; the
+                        # silent-step rule with the extra right-to-left
+                        # hypothesis (q, p1).
+                        f |= rows[p1] | (cols[p1] & ~blocked)
+                    else:
+                        # Visible-step rule.
+                        f |= ~blocked
+                fire[p] = f
+            yield fire
     return rule
 
 

@@ -126,7 +126,8 @@ def test_kernel_on_a_chains():
 
 def test_kernel_rejects_a_rule_that_fires_on_the_diagonal():
     with pytest.raises(ap.InternalInvariantError, match=r"diagonal pair \(1, 1\)"):
-        ap._saturate(3, lambda rows, cols: [0b010, 0b010, 0], symmetric=False)
+        ap._saturate(3, lambda rows, cols, *parts: ([0b010, 0b010, 0] for _ in parts),
+                     symmetric=False)
 
 
 def test_validate_campaign_200_is_ok(capsys):

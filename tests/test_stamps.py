@@ -63,7 +63,8 @@ def test_dense_and_sparse_rounds_give_the_same_rows_and_stamps(l):
 def test_both_paths_reject_a_rule_that_fires_on_the_diagonal(monkeypatch, dense_at):
     monkeypatch.setattr(ap, "_DENSE", dense_at)
     with pytest.raises(ap.InternalInvariantError, match=r"diagonal pair \(1, 1\)"):
-        ap._saturate(3, lambda rows, cols: [0b010, 0b010, 0], symmetric=False)
+        ap._saturate(3, lambda rows, cols, *parts: ([0b010, 0b010, 0] for _ in parts),
+                     symmetric=False)
 
 
 def test_deep_rounds_keep_one_stamp_cell_per_pair():
@@ -104,11 +105,12 @@ def test_stamps_past_two_bytes_widen_the_cells(monkeypatch, dense_at):
     n = 257
     pairs = iter([(0, q) for q in range(1, 7)])
 
-    def rule(rows, cols):
+    def rule(rows, cols, *parts):
         p, q = next(pairs)
         fire = [0] * n
         fire[p] = 1 << q
-        return fire
+        for _ in parts:
+            yield fire
     rel = ap._saturate(n, rule, symmetric=False, goal=((0, 6),))
     assert rel.cells.typecode == "I"
     assert rel.cells[:8].tolist() == [0, 1, 2, 3, 4, 5, 6, 0]
