@@ -207,11 +207,12 @@ class Lts:
     def _steps(self) -> tuple:
         """The one index of the steps, from one pass over them in step
         order: per state, its out-steps; per (label, state), the targets
-        of its steps; per label, its step masks in two forms: the mask of
-        the states entered with, per state, the mask of its predecessors;
-        and the diagonals, per offset d = q - p the shift n + d with the
-        mask of the sources p of a step p -> p + d; last, the mask of the
-        states entered from another state."""
+        of its steps; per label, its step masks: the mask of the states
+        entered from another state with, per state, the mask of its
+        predecessors other than itself; the diagonals, per offset
+        d = q - p the shift n + d with the mask of the sources p of a step
+        p -> p + d; last, the mask of the sources of self-loops, built
+        once, which is also diagonal 0."""
         n = self.n_states
         out = [[] for _ in range(n)]
         succ: dict = {}
@@ -220,15 +221,25 @@ class Lts:
             out[p].append((label, q))
             succ.setdefault((label, p), []).append(q)
             if label not in by_label:
-                by_label[label] = ([0] * n, {})
-            preds, diagonals = by_label[label]
-            preds[q] |= 1 << p
-            diagonals[q - p] = diagonals.get(q - p, 0) | 1 << p
+                by_label[label] = ([0] * n, {}, [])
+            preds, diagonals, loops = by_label[label]
+            if p == q:
+                loops.append(p)
+            else:
+                preds[q] |= 1 << p
+                diagonals[q - p] = diagonals.get(q - p, 0) | 1 << p
+        masks = {}
+        for label, (preds, diagonals, loops) in by_label.items():
+            if loops:  # one base-2 parse, in time linear in n, not a sum
+                digits = bytearray(b"0") * n
+                for p in loops:
+                    digits[~p] = ord("1")  # digit ~p counts 2 ** p
+                diagonals[0] = int(digits, 2)
+            masks[label] = (sum(1 << q for q, m in enumerate(preds) if m), tuple(preds),
+                            tuple(n + d for d in diagonals), tuple(diagonals.values()),
+                            diagonals.get(0, 0))
         return (tuple(map(tuple, out)), {key: tuple(qs) for key, qs in succ.items()},
-                {label: (sum(1 << q for q, m in enumerate(preds) if m), tuple(preds),
-                         tuple(n + d for d in diagonals), tuple(diagonals.values()),
-                         sum(1 << q for q, m in enumerate(preds) if m & ~(1 << q)))
-                 for label, (preds, diagonals) in by_label.items()})
+                masks)
 
     def out(self, p: int) -> tuple:
         """Outgoing (label, target) pairs of ``p``, in step order."""
@@ -246,21 +257,23 @@ class Lts:
     def entered(self, label: ActionLabel) -> int:
         """The mask of the states entered by a ``label``-step from another
         state."""
-        return self._steps[2].get(label, _NO_STEP_MASKS)[4]
+        return self._steps[2].get(label, _NO_STEP_MASKS)[0]
 
     def preimage(self, label: ActionLabel, x: int) -> int:
         """The states with a ``label``-step into the bitmask ``x`` (bit
         ``p`` stands for state ``p``; ``x`` is non-negative).
 
         Each call takes the cheaper of two unions: the predecessor masks of
-        the targets in ``x``, one per target, or ``x`` shifted along each
+        the states of ``x`` entered from another state, one per state, with
+        the self-loop sources in ``x``, or ``x`` shifted along each
         diagonal and masked by its sources, one per diagonal, in C."""
-        targets, preds, shifts, diagonals, _ = \
+        entered, preds, shifts, diagonals, loops = \
             self._steps[2].get(label, _NO_STEP_MASKS)
-        hit = x & targets
+        hit = x & entered
         if hit.bit_count() <= len(shifts):
-            return _union(hit, preds)
+            return _union(hit, preds) | x & loops
         # Bit q of hit << n, shifted down by n + d, lands on bit q - d.
+        hit |= x & loops
         return reduce(or_, map(and_, map(rshift, repeat(hit << self.n_states),
                                          shifts), diagonals), 0)
 

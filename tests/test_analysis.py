@@ -1,6 +1,9 @@
 """One analysis per LTS: the relations, the oracles, the shared evaluator
-and validation's enumeration are computed on first use, kept with the
-LTS, and shared by every caller."""
+and the satisfaction masks of validation's enumeration are computed on
+first use, kept with the LTS, and shared by every caller.  The enumerated
+formulas and their embeddings depend on the visible actions alone: they
+are kept per alphabet, for the last few alphabets, and shared by every
+LTS over one."""
 
 import gc
 import weakref
@@ -26,14 +29,50 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def test_cross_validate_enumerates_and_evaluates_once(monkeypatch):
-    g = next(g for g in campaign_instances(56, 1) if g.n_states == 5)
-    l = random_lts(g)
+@pytest.fixture
+def cold_enumeration():
+    """No alphabet's enumeration kept from an earlier test."""
+    validate._enumeration.cache_clear()
+
+
+def test_cross_validate_enumerates_and_evaluates_once(monkeypatch, cold_enumeration):
+    small = [l for l in map(random_lts, campaign_instances(56, 1))
+             if l.n_states <= validate.ENUM_STATE_LIMIT]
+    first, second = [l for l in small if l.visible_actions == small[0].visible_actions][:2]
+    third = next(l for l in small if l.visible_actions != first.visible_actions)
     enumerations = count_calls(monkeypatch, validate, "enumerate_pformulas")
     evaluators = count_calls(monkeypatch, logic.SatEvaluator, "__init__")
-    assert validate.cross_validate(l).ok
+    assert validate.cross_validate(first).ok and validate.cross_validate(second).ok
     assert len(enumerations) == 1
-    assert len(evaluators) == 1
+    assert len(evaluators) == 2
+    assert validate.cross_validate(third).ok
+    assert len(enumerations) == 2
+    assert len(evaluators) == 3
+
+
+def _validated(g) -> tuple:
+    """The report on a fresh LTS of ``g`` and, if it is small enough to
+    enumerate, each enumerated formula with its satisfaction mask."""
+    l = random_lts(g)
+    report = validate.cross_validate(l).to_json()
+    if l.n_states > validate.ENUM_STATE_LIMIT:
+        return report, None
+    return report, l.memo(validate._enum_context)[2]
+
+
+def test_kept_enumerations_change_no_report(cold_enumeration):
+    # Each LTS is validated with the cache that the stream before it left,
+    # and again, as a fresh LTS, after the cache is emptied.
+    bound = validate._enumeration.cache_info().maxsize
+    three = list(campaign_instances(40, 3, max_states=validate.ENUM_STATE_LIMIT,
+                                    visible_actions=3))
+    assert len({random_lts(g).visible_actions for g in three}) > bound
+    for stream in (list(campaign_instances(56, 1)), three):
+        warm = [_validated(g) for g in stream]
+        assert validate._enumeration.cache_info().currsize <= bound
+        for g, expected in zip(stream, warm):
+            validate._enumeration.cache_clear()
+            assert _validated(g) == expected
 
 
 def test_cross_validate_extracts_each_apart_pair_once(monkeypatch):

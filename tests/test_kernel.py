@@ -161,7 +161,8 @@ def _preimage_by_definition(l, label, x):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_preimage_matches_its_definition(data):
-    l = data.draw(ltss())
+    # Closures too: every state has a silent self-loop.
+    l = data.draw(st.one_of(ltss(), ltss().map(reflexive_closure)))
     full = (1 << l.n_states) - 1
     x = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full),
                             st.integers(0, l.n_states - 1).map(lambda p: 1 << p)))

@@ -159,6 +159,22 @@ def test_dbranching_check_on_a_long_silent_chain_stays_small():
     assert peak < 40_000_000
 
 
+def test_the_step_index_of_a_closure_grows_linearly():
+    # The closure of des (0,1,n) / (0,"a",0) has n silent self-loops.  They
+    # are kept as one mask, so the index grows like the steps; a bit per
+    # loop in its predecessor mask would take n ** 2 / 2 bits.
+    peaks = []
+    for n in (10_000, 20_000):
+        closed = reflexive_closure(Lts(n, frozenset({(0, ActionLabel("a"), 0)})))
+        tracemalloc.start()
+        try:
+            closed._steps
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2.5 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("parts, message", [
     ((0, frozenset()), "at least one state"),
     ((2, frozenset(), 2), "initial state out of range"),

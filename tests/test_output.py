@@ -179,7 +179,7 @@ def _bbapart_env(unbuffered: str) -> dict:
 
 
 @pytest.mark.parametrize("aut", [
-    'des (0,1,100000)\n(0,"a",0)\n',  # the closure's self-loops: n^2/2 mask bits
+    'des (0,1,100000)\n(0,"a",0)\n',  # silent reachability: n^2/2 mask bits
     "des (0,0,300000000)\n",           # the reflexive closure's steps
 ], ids=["masks", "closure"])
 def test_running_out_of_memory_exits_2_with_one_error_line(tmp_path, aut):
