@@ -19,6 +19,7 @@ not distinguish"), 2 for usage, input-parse or output errors and for a
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -350,26 +351,38 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _options() -> dict:
+    """Per subcommand, its table entries read once: its defaults by dest,
+    each option string with its dest and settings, its positionals and its
+    required dests."""
+    table = {}
+    for name, (_, _, entries) in _commands().items():
+        defaults, options, positionals, required = table[name] = {}, {}, [], set()
+        for flags, settings in entries:
+            if not flags[0].startswith("-"):
+                positionals.append((flags[0], settings))
+                continue
+            # argparse's dest: the first long option string, else the first one
+            dest = next((f for f in flags if f.startswith("--")), flags[0])
+            dest = dest.lstrip("-").replace("-", "_")
+            options.update(dict.fromkeys(flags, (dest, settings)))
+            defaults[dest] = (False if settings.get("action") == "store_true"
+                              else settings.get("default"))
+            if settings.get("required"):
+                required.add(dest)
+    return table
+
+
 def _command_args(argv):
     """The namespace that a parser of subcommand ``argv[0]`` alone would
     return for ``argv``, read from the command table, if ``argv`` has the
-    strict form (see the module docstring); None otherwise."""
-    if not argv or argv[0] not in (commands := _commands()):
+    strict form (see the module docstring); None otherwise.  The function
+    is looked up per call, like ``_commands()`` does."""
+    if not argv or argv[0] not in (table := _options()):
         return None
-    func, _, entries = commands[argv[0]]
-    args, options, positionals, required = {"func": func}, {}, [], set()
-    for flags, settings in entries:
-        if not flags[0].startswith("-"):
-            positionals.append((flags[0], settings))
-            continue
-        # argparse's dest: the first long option string, else the first one
-        dest = next((f for f in flags if f.startswith("--")), flags[0])
-        dest = dest.lstrip("-").replace("-", "_")
-        options.update(dict.fromkeys(flags, (dest, settings)))
-        args[dest] = (False if settings.get("action") == "store_true"
-                      else settings.get("default"))
-        if settings.get("required"):
-            required.add(dest)
+    defaults, options, positionals, required = table[argv[0]]
+    args, required = {"func": globals()["cmd_" + argv[0]], **defaults}, set(required)
     tokens, positionals = iter(argv[1:]), iter(positionals)
     for token in tokens:
         if not token.startswith("-"):

@@ -12,6 +12,7 @@ for conjuncts on the right of a diamond.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .lts import (
     TAU,
@@ -532,20 +533,20 @@ def enumerate_pformulas(actions, depth: int) -> list:
 
 # A label is an identifier, or any .aut label in double quotes.
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_TOKEN_RE = re.compile(rf'\s*(<|>|\(|\)|&|\||~|{_IDENT_RE.pattern}|"[^\s"]+")')
+_VALID_RE = re.compile(rf'<|>|\(|\)|&|\||~|{_IDENT_RE.pattern}|"[^\s"]+"')
+# Every other character but space is a token of its own, so one scan
+# splits the whole text, in time linear in it, and an invalid token marks
+# the first character that starts no valid one.
+_TOKEN_RE = re.compile(rf"{_VALID_RE.pattern}|\S")
 
 
 def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise FormulaParseError(f"unexpected character at {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
+    tokens = _TOKEN_RE.findall(text)
+    bad = {token for token in set(tokens) if not _VALID_RE.fullmatch(token)}
+    if bad:
+        i = next(i for i, token in enumerate(tokens) if token in bad)
+        pos = next(islice(_TOKEN_RE.finditer(text), i - 1, None)).end() if i else 0
+        raise FormulaParseError(f"unexpected character at {text[pos:]!r}")
     return tokens
 
 

@@ -11,8 +11,8 @@ import json
 import re
 import weakref
 from functools import cached_property, reduce
-from itertools import count, repeat
-from operator import and_, or_, rshift
+from itertools import compress, count, repeat
+from operator import and_, attrgetter, or_, rshift
 from pathlib import Path
 
 
@@ -33,11 +33,19 @@ class NonReflexiveLtsError(ValueError):
 
 _NAME_RE = re.compile(r'^[^\s"]+\Z')
 _HEADER = re.compile(r"\s*des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
-# A step line.  The label is all between the first comma and the last, less
-# the whitespace at its ends: one greedy scan finds it, in time linear in
-# the line.  A lazy label would try each split of a run of whitespace
-# before a comma, in time quadratic in the run.
-_STEP = re.compile(r"\(\s*(\d+)\s*,(.*),\s*(\d+)\s*\)$")
+# A body line (with re.M): a step, as source, label field (the label with
+# the first comma and the last around it) and target; or else the rest of
+# the line.  One greedy scan finds the field, in time linear in the line;
+# a lazy one would try each split of a whitespace run before a comma.
+_LINE = re.compile(r"^[^\S\n]*(?:\([^\S\n]*(\d+)[^\S\n]*(,.*,)[^\S\n]*(\d+)[^\S\n]*\)|(.*))"
+                   r"[^\S\n]*$", re.M)
+_BLOCK = 2048  # body lines read in one scan
+
+
+class _Entry(weakref.ref):
+    """An intern table's weak reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
 
 
 class HashConsed:
@@ -46,21 +54,30 @@ class HashConsed:
     order), compared by identity, so ``==`` is ``is`` and hashing takes
     constant time; for formulas, equal formulas are one object and a
     formula is a DAG by construction.  Each class keeps its instances in a
-    weak-value table, so an instance and its entry die with the instance's
-    last user.  Fields cannot be assigned, and ``repr`` names them."""
+    dict from parts to weak references that carry their key, so an
+    instance and its entry die with the instance's last user.  Fields
+    cannot be assigned, and ``repr`` names them."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._table = weakref.WeakValueDictionary()
+        table = cls._table = {}
+
+        def forget(entry):  # the node died; a newer entry for its key stays
+            if table.get(entry.key) is entry:
+                del table[entry.key]
+        cls._forget = forget
 
     def __new__(cls, *parts):
-        node = cls._table.get(parts)
+        entry = cls._table.get(parts)
+        node = entry and entry()
         if node is None:
-            node = cls._table[parts] = object.__new__(cls)
+            node = object.__new__(cls)
             vars(node).update(zip(cls._fields, parts))
+            entry = cls._table[parts] = _Entry(node, cls._forget)
+            entry.key = parts
         return node
 
     def __reduce__(self):
@@ -87,9 +104,10 @@ class ActionLabel(HashConsed):
     name: str | None = None
 
     def __new__(cls, name=None):
-        if name is not None and not _NAME_RE.match(name):
+        entry = cls._table.get((name,))  # an interned name was checked once
+        if entry is None and name is not None and not _NAME_RE.match(name):
             raise ValueError(f"invalid action name: {name!r}")
-        return super().__new__(cls, name)
+        return entry and entry() or super().__new__(cls, name)
 
     @property
     def silent(self) -> bool:
@@ -155,10 +173,13 @@ def _fold(root, children, build, memo=None, key=id):
     return memo[key(root)]
 
 
-def _step_order(step: tuple) -> tuple:
-    """The one order of steps (source, label, target): by source, then
-    label (see :attr:`ActionLabel.sort_key`), then target."""
-    return step[0], step[1].sort_key, step[2]
+def _mask(bits, n: int) -> int:
+    """The mask of ``bits``, each below ``n``, by one base-2 parse of n
+    digits: linear in n, where a sum of powers of two is quadratic."""
+    digits = bytearray(b"0") * n
+    for p in bits:
+        digits[~p] = 49  # digit ~p counts 2 ** p
+    return int(digits, 2)
 
 
 class Lts:
@@ -205,41 +226,43 @@ class Lts:
 
     @cached_property
     def _steps(self) -> tuple:
-        """The one index of the steps, from one pass over them in step
-        order: per state, its out-steps; per (label, state), the targets
-        of its steps; per label, its step masks: the mask of the states
-        entered from another state with, per state, the mask of its
-        predecessors other than itself; the diagonals, per offset
-        d = q - p the shift n + d with the mask of the sources p of a step
-        p -> p + d; last, the mask of the sources of self-loops, built
-        once, which is also diagonal 0."""
+        """The one index of the steps, built from each label's bucket of
+        steps as sorted keys p * n + q, label by label in the order of
+        :attr:`ActionLabel.sort_key`, so each state's out-steps come in
+        step order: by label, then target.  Per label: per state, the
+        targets of its steps; the mask of the states entered from another
+        state, built once, with, per such state, the mask of its other
+        predecessors; the diagonals, per offset d = q - p the shift n + d
+        with the mask of the sources p of a step p -> p + d; last, the mask
+        of the sources of self-loops, built once, which is diagonal 0."""
         n = self.n_states
-        out = [[] for _ in range(n)]
-        succ: dict = {}
-        by_label: dict = {}
-        for p, label, q in sorted(self.transitions, key=_step_order):
-            out[p].append((label, q))
-            succ.setdefault((label, p), []).append(q)
-            if label not in by_label:
-                by_label[label] = ([0] * n, {}, [])
-            preds, diagonals, loops = by_label[label]
-            if p == q:
-                loops.append(p)
-            else:
-                preds[q] |= 1 << p
-                diagonals[q - p] = diagonals.get(q - p, 0) | 1 << p
-        masks = {}
-        for label, (preds, diagonals, loops) in by_label.items():
-            if loops:  # one base-2 parse, in time linear in n, not a sum
-                digits = bytearray(b"0") * n
-                for p in loops:
-                    digits[~p] = ord("1")  # digit ~p counts 2 ** p
-                diagonals[0] = int(digits, 2)
-            masks[label] = (sum(1 << q for q, m in enumerate(preds) if m), tuple(preds),
-                            tuple(n + d for d in diagonals), tuple(diagonals.values()),
-                            diagonals.get(0, 0))
-        return (tuple(map(tuple, out)), {key: tuple(qs) for key, qs in succ.items()},
-                masks)
+        buckets = {label: [] for label in sorted(self.actions, key=attrgetter("sort_key"))}
+        for p, label, q in self.transitions:
+            buckets[label].append(p * n + q)
+        out, succ, masks = [[] for _ in range(n)], {}, {}
+        for label, keys in buckets.items():
+            keys.sort()
+            targets, last, run = [()] * n, 0, []
+            preds, diagonals, loops = {}, {}, []
+            for p, q in map(divmod, keys, repeat(n)):
+                out[p].append((label, q))
+                if p != last:  # a state's targets are one run of the sorted keys
+                    targets[last], last, run = tuple(run), p, []
+                run.append(q)
+                if p == q:
+                    loops.append(p)
+                else:
+                    preds[q] = preds.get(q, 0) | 1 << p
+                    diagonals[q - p] = diagonals.get(q - p, 0) | 1 << p
+            targets[last] = tuple(run)
+            if loops:
+                diagonals[0] = _mask(loops, n)
+            succ[label] = tuple(targets)
+            masks[label] = (_mask(preds, n), preds, tuple(n + d for d in diagonals),
+                            tuple(diagonals.values()), diagonals.get(0, 0))
+        for p, steps in enumerate(out):  # each list goes as its tuple comes
+            out[p] = tuple(steps)
+        return tuple(out), succ, masks
 
     def out(self, p: int) -> tuple:
         """Outgoing (label, target) pairs of ``p``, in step order."""
@@ -247,7 +270,8 @@ class Lts:
 
     def succ(self, p: int, label: ActionLabel) -> tuple:
         """Targets of ``label``-steps from ``p``, ascending."""
-        return self._steps[1].get((label, p), ())
+        targets = self._steps[1].get(label)
+        return targets[p] if targets else ()
 
     def succ_masks(self, label: ActionLabel) -> tuple:
         """Per state, the mask of its ``label``-successors, built on first
@@ -343,39 +367,63 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
     if initial >= n_states:
         raise AutParseError(f"initial state {initial} out of range", 1)
 
+    # The body is read in blocks of lines, each in bulk: one row per line,
+    # blank or not, kept as columns, so row i is line first + i + 1; a
+    # number or label field is read once per block.  Blocks bound the rows
+    # alive at once, which the collector would otherwise pass over again.
     transitions = set()
-    labels: dict = {}  # one ActionLabel per token, so lookups hit by identity
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        m = _STEP.match(line)
-        if not m:
-            if re.match(r'^\(\s*\d+\s*,\s*"[^"]*$', line):
+    for first in range(1, len(lines), _BLOCK):
+        block = lines[first:first + _BLOCK]
+        srcs, fields, dsts, rests = zip(*_LINE.findall("\n".join(block)))
+        states = {token: _number(token) for token in {*srcs, *dsts} - {""}}
+        labels = {field: _label(field, silent_label) for field in set(fields) - {""}}
+        bad = {token for token, p in states.items() if not 0 <= p < n_states}
+        bad.update(field for field, label in labels.items() if type(label) is not ActionLabel)
+        if bad or any(rests):  # the first bad line fails these checks, in this order
+            i = next(i for i, rest in enumerate(rests)
+                     if rest or not bad.isdisjoint((srcs[i], fields[i], dsts[i])))
+            line, lineno = block[i].strip(), first + i + 1
+            if rests[i] and not re.match(r'\(\s*\d+\s*,\s*"[^"]*$', line):
+                raise AutParseError(f"malformed transition: {line!r}", lineno)
+            src, label, dst = ((0, None, 0) if rests[i] else
+                               (int(srcs[i]), labels[fields[i]], int(dsts[i])))
+            if label is None:
                 raise AutParseError(f"unterminated label: {line!r}", lineno)
-            raise AutParseError(f"malformed transition: {line!r}", lineno)
-        src, token, dst = int(m[1]), m[2].strip(), int(m[3])
-        if token.startswith('"'):
-            if not (len(token) >= 2 and token.endswith('"')):
-                raise AutParseError(f"unterminated label: {line!r}", lineno)
-            token = token[1:-1]
-        if src >= n_states or dst >= n_states:
-            raise AutParseError(f"out-of-range state index in {line!r}", lineno)
-        label = labels.get(token)
-        if label is None:
-            try:
-                label = TAU if token == silent_label else ActionLabel(token)
-            except ValueError as exc:
-                raise AutParseError(str(exc), lineno) from exc
-            labels[token] = label
-        transitions.add((src, label, dst))
+            if src >= n_states or dst >= n_states:
+                raise AutParseError(f"out-of-range state index in {line!r}", lineno)
+            raise AutParseError(label, lineno)
+        transitions.update(compress(zip(map(states.get, srcs), map(labels.get, fields),
+                                        map(states.get, dsts)), srcs))
     return Lts(n_states, frozenset(transitions), initial)
+
+
+def _number(token: str) -> int:
+    """``int(token)``, or -1 for a token of more digits than ``int`` reads."""
+    try:
+        return int(token)
+    except ValueError:
+        return -1
+
+
+def _label(field: str, silent_label: str):
+    """The action of a step's label field (the label with the commas around
+    it): an :class:`ActionLabel`, None for a quote left open, or the error
+    text of a name that is no label's."""
+    token = field[1:-1].strip()
+    if token.startswith('"'):
+        if len(token) < 2 or not token.endswith('"'):
+            return None
+        token = token[1:-1]
+    try:
+        return TAU if token == silent_label else ActionLabel(token)
+    except ValueError as exc:
+        return str(exc)
 
 
 def render_aut(l: Lts, silent_label: str = "tau") -> str:
     """The ``.aut`` text of ``l``; ``ValueError`` on a visible label named ``silent_label``."""
     lines = [f"des ({l.initial},{len(l.transitions)},{l.n_states})"]
-    for src, label, dst in sorted(l.transitions, key=_step_order):
+    for src, label, dst in sorted(l.transitions, key=lambda s: (s[0], s[1].sort_key, s[2])):
         if not label.silent and label.name == silent_label:
             raise ValueError(f"visible action {label.name!r} is named like the silent action")
         lines.append(f'({src},"{label.token(silent_label)}",{dst})')
@@ -445,12 +493,12 @@ class TauClosure:
     @cached_property
     def back(self) -> tuple:
         """Per state q, the mask of the states that reach q, sources first."""
-        back, succ = [0] * self.lts.n_states, self.lts._steps[1].get
+        back, succ = [0] * self.lts.n_states, self.lts.succ
         for members in reversed(self._components):
             mask = reduce(or_, (1 << m | back[m] for m in members))
             for m in members:
                 back[m] = mask
-                for w in succ((TAU, m), ()):
+                for w in succ(m, TAU):
                     back[w] |= mask
         return tuple(back)
 
@@ -465,7 +513,7 @@ def tau_closure(l: Lts) -> TauClosure:
     """Silent reachability of ``l``, once per LTS: Tarjan's strongly connected
     components of the silent steps, each found after every component it
     reaches, so its forward mask takes one OR per step leaving it."""
-    n, succ = l.n_states, l._steps[1].get
+    n, succ = l.n_states, l.succ
     # Per state: DFS number from 1 (0 while unvisited, n + 1 once its
     # component is done), low link, and forward mask, whole once done.
     order, low, forward = [0] * n, [0] * n, [0] * n
@@ -475,14 +523,14 @@ def tau_closure(l: Lts) -> TauClosure:
             continue
         order[root] = low[root] = next(visits)
         stack.append(root)
-        work = [(root, iter(succ((TAU, root), ())))]
+        work = [(root, iter(succ(root, TAU)))]
         while work:
             v, targets = work[-1]
             for w in targets:
                 if not order[w]:
                     order[w] = low[w] = next(visits)
                     stack.append(w)
-                    work.append((w, iter(succ((TAU, w), ()))))
+                    work.append((w, iter(succ(w, TAU))))
                     break
                 forward[v] |= forward[w]  # w done, or in v's component
                 low[v] = min(low[v], order[w])

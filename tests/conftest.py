@@ -1,8 +1,10 @@
+import re
 from pathlib import Path
 
 import pytest
 
-from bbapart.lts import TAU, load_names, parse_aut
+from bbapart.logic import FormulaParseError
+from bbapart.lts import TAU, ActionLabel, AutParseError, Lts, load_names, parse_aut
 
 DATA = Path(__file__).parent / "data"
 
@@ -75,3 +77,76 @@ def layers(rel) -> tuple:
         if r:
             out[r - 1][i // n] |= 1 << i % n
     return tuple(map(tuple, out))
+
+
+# ---------------------------------------------------------------------------
+# Line-at-a-time readers of both grammars, as the package read them before
+# it read them in bulk: the references of the parity tests.
+
+_HEADER = re.compile(r"\s*des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
+_STEP = re.compile(r"\(\s*(\d+)\s*,(.*),\s*(\d+)\s*\)$")
+
+
+def parse_aut_by_lines(text: str, silent_label: str = "tau") -> Lts:
+    """``parse_aut``, one body line at a time."""
+    lines = text.splitlines()
+    if not lines:
+        raise AutParseError("empty input, expected des header", 1)
+    header = _HEADER.match(lines[0])
+    if not header:
+        raise AutParseError(f"malformed header: {lines[0]!r}", 1)
+    initial, _decl_trans, n_states = (int(g) for g in header.groups())
+    if n_states < 1:
+        raise AutParseError("state count must be positive", 1)
+    if initial >= n_states:
+        raise AutParseError(f"initial state {initial} out of range", 1)
+    transitions = set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        m = _STEP.match(line)
+        if not m:
+            if re.match(r'^\(\s*\d+\s*,\s*"[^"]*$', line):
+                raise AutParseError(f"unterminated label: {line!r}", lineno)
+            raise AutParseError(f"malformed transition: {line!r}", lineno)
+        src, token, dst = int(m[1]), m[2].strip(), int(m[3])
+        if token.startswith('"'):
+            if not (len(token) >= 2 and token.endswith('"')):
+                raise AutParseError(f"unterminated label: {line!r}", lineno)
+            token = token[1:-1]
+        if src >= n_states or dst >= n_states:
+            raise AutParseError(f"out-of-range state index in {line!r}", lineno)
+        try:
+            label = TAU if token == silent_label else ActionLabel(token)
+        except ValueError as exc:
+            raise AutParseError(str(exc), lineno) from exc
+        transitions.add((src, label, dst))
+    return Lts(n_states, frozenset(transitions), initial)
+
+
+_TOKEN = re.compile(r'\s*(<|>|\(|\)|&|\||~|[A-Za-z_][A-Za-z0-9_\']*|"[^\s"]+")')
+
+
+def tokenize_by_matches(text: str) -> list:
+    """The formula tokenizer, one regular-expression match per token."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise FormulaParseError(f"unexpected character at {text[pos:]!r}")
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` gives: ``("value", result)``, or the type,
+    text and (for ``AutParseError``) line of the ``ValueError`` it raises."""
+    try:
+        return "value", read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)

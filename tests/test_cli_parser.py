@@ -118,6 +118,17 @@ def test_the_matcher_answers_only_the_strict_form(tmp_path):
                     "nonreflexive": False, "p": "0", "q": "5"}
 
 
+def test_the_matcher_reads_the_table_once_and_the_function_per_call(monkeypatch):
+    argv = answered()[0]
+    assert cli._command_args(argv).func is cli.cmd_check  # the table is read by now
+    monkeypatch.setattr(cli, "_commands", lambda: pytest.fail("the table is read again"))
+
+    def wrapped(args):  # as the benchmark's tracer rebinds a command
+        return cli.EXIT_OK
+    monkeypatch.setattr(cli, "cmd_check", wrapped)
+    assert cli._command_args(argv).func is wrapped
+
+
 def _parsers_built(monkeypatch, argv) -> list:
     """The ``prog`` of every ``ArgumentParser`` that ``main(argv)`` builds."""
     built = []

@@ -1,13 +1,13 @@
 import copy
-import gc
 import pickle
 import time
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbapart import logic
+from bbapart import logic, lts
 from bbapart.logic import (
     And,
     BOT,
@@ -53,7 +53,8 @@ from bbapart.lts import (
     reflexive_closure,
 )
 
-from conftest import load_fixture, s, silent_reach
+from conftest import load_fixture, outcome, s, silent_reach, tokenize_by_matches
+from test_cli_fuzz import hmlu
 
 A, B, C, D = (ActionLabel(x) for x in "abcd")
 
@@ -263,6 +264,38 @@ def test_parse_errors():
     for text in ["", "(T &", "T T", "(T ? F)", "<a>", "(T <a F)"]:
         with pytest.raises(FormulaParseError):
             parse_formula(text)
+
+
+# Formula text: the grammar's tokens, quoted labels (closed or not),
+# characters that start no token, and spaces, Unicode ones too.
+_FORMULA_PIECES = st.sampled_from(["<", ">", "(", ")", "&", "|", "~", "T", "F", "a", "b1'",
+                                   "tau", "i", '"send(1)"', '"a', '"', "$", "1", "é", "'",
+                                   " ", "  ", "\t", "\u00a0", "\n", "\u2003"])
+
+
+def _parse_by_matches(text, silent):
+    with mock.patch.object(logic, "_tokenize", tokenize_by_matches):
+        return parse_formula(text, silent)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_FORMULA_PIECES, max_size=14).map("".join)
+       | hmlu.map(format_formula), st.sampled_from(["tau", "i"]))
+def test_the_tokenizer_reads_as_one_match_per_token(text, silent):
+    # The same tokens, or the same error text; and so the same formula.
+    assert outcome(logic._tokenize, text) == outcome(tokenize_by_matches, text)
+    assert outcome(parse_formula, text, silent) == outcome(_parse_by_matches, text, silent)
+
+
+@pytest.mark.parametrize("text", [
+    "a" * 100_000 + "$",   # one identifier, then a character that starts no token
+    "<a> " * 33_333 + "T$",  # 100,000 tokens, then one
+], ids=["identifier", "tokens"])
+def test_a_long_bad_formula_is_rejected_in_linear_time(text):
+    start = time.perf_counter()
+    with pytest.raises(FormulaParseError, match=r"unexpected character at '\$'"):
+        parse_formula(text)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_format_pformula_examples():
@@ -570,6 +603,27 @@ def test_a_formula_built_twice_is_one_object(f, g):
     assert copy.copy(A) is A and TAU.name is None
 
 
+def _interned(cls, parts):
+    """The node that the intern table of ``cls`` holds for ``parts``, or
+    None when it has no entry for them; a dead entry fails the test."""
+    entry = cls._table.get(parts)
+    if entry is None:
+        return None
+    assert entry() is not None, f"a dead entry for {parts!r} is still in the table"
+    return entry()
+
+
+def test_a_stale_callback_leaves_the_newer_entry_for_its_key():
+    # As when the collector clears a dead node's reference, and a node with
+    # the same parts is made before the old reference's callback runs.
+    f = Diamond(TOP, A, BOT)
+    parts = (TOP, A, BOT)
+    stale = lts._Entry(Neg(TOP), Diamond._forget)
+    stale.key = parts
+    Diamond._forget(stale)
+    assert _interned(Diamond, parts) is f and Diamond(*parts) is f
+
+
 def test_a_node_and_its_table_entry_die_with_its_last_reference():
     label = ActionLabel("weak_probe")
     f = PDiamond(PTOP, label, (), ())
@@ -577,9 +631,8 @@ def test_a_node_and_its_table_entry_die_with_its_last_reference():
     assert sort_key(f) and canonical_key(f) is f
     nodes = [weakref.ref(f), weakref.ref(h)]
     entries = [(PDiamond, (PTOP, label, (), ())), (Diamond, (TOP, label, TOP))]
-    assert all(cls._table.get(parts) is node()
+    assert all(_interned(cls, parts) is node()
                for (cls, parts), node in zip(entries, nodes))
-    del f, h
-    gc.collect()
+    del f, h  # no collector pass: the last references go, and the entries
     assert all(node() is None for node in nodes)
-    assert all(parts not in cls._table for cls, parts in entries)
+    assert all(_interned(cls, parts) is None for cls, parts in entries)

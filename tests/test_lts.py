@@ -1,10 +1,12 @@
 import re
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbapart import lts
 from bbapart.generate import GenParams, random_lts
 from bbapart.logic import _reach_inside
 from bbapart.lts import (
@@ -12,7 +14,7 @@ from bbapart.lts import (
     ActionLabel,
     AutParseError,
     Lts,
-    _STEP,
+    _LINE,
     parse_aut,
     reflexive_closure,
     render_aut,
@@ -20,7 +22,7 @@ from bbapart.lts import (
 )
 from bbapart.validate import check_pair
 
-from conftest import s, silent_reach
+from conftest import outcome, parse_aut_by_lines, s, silent_reach
 from test_kernel import ltss
 
 
@@ -72,8 +74,8 @@ _LAZY_STEP = re.compile(r'^\(\s*(\d+)\s*,\s*(.*?)\s*,\s*(\d+)\s*\)$')
 @given(st.text(alphabet='(),"0123 \tab\u00a0\u2003', max_size=16))
 def test_the_step_pattern_reads_lines_as_the_lazy_one(line):
     line = line.strip()
-    m, lazy = _STEP.match(line), _LAZY_STEP.match(line)
-    assert (m and (m[1], m[2].strip(), m[3])) == (lazy and lazy.groups())
+    m, lazy = _LINE.match(line), _LAZY_STEP.match(line)
+    assert (m[1] and (m[1], m[2][1:-1].strip(), m[3])) == (lazy and lazy.groups())
 
 
 def test_a_long_malformed_step_line_is_rejected_in_linear_time():
@@ -85,6 +87,51 @@ def test_a_long_malformed_step_line_is_rejected_in_linear_time():
         parse_aut(f"des (0,1,2)\n{line}")
     assert time.perf_counter() - start < 0.5
     assert str(exc.value) == f"line 2: malformed transition: {line!r}"
+
+
+# Pieces of .aut body lines: whitespace (Unicode spaces too), numbers (some
+# out of range, one in Arabic-Indic digits, which int() reads), label
+# fields good and bad (quoted, bare, empty, silent, unterminated, with
+# spaces or inner quotes) and lines that are no step.
+_SPACES = st.sampled_from(["", "", " ", "\t", "\u00a0", "\u2003 "])
+_NUMBERS = st.sampled_from(["0", "0", "1", "1", "2", "3", "9", "007", "\u0662"])
+_FIELDS = st.sampled_from(['"a"', "b", '"tau"', "tau", "i", '"send(1)"', "x,y", '"a b"',
+                           '""', "", '"a', 'a"', '"a"b"', '"é"', "a b"])
+_JUNK = st.sampled_from(["foo", "(1,2)", '(0,"a",1', '0,"a",1)', "(x,a,1)", '(0, "ab',
+                         '((0,a,1))', "(0,a,1) x", "des (0,1,2)", '(0,"a)'])
+_BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\u2028", "\x0c"])
+
+
+@st.composite
+def aut_texts(draw):
+    """A header of one to four states, then body lines at random: steps
+    with any spacing, blank lines, and malformed, unterminated,
+    out-of-range and bad-label lines anywhere, under any line breaks."""
+    n = draw(st.integers(1, 4))
+    lines = [f"des ({draw(st.integers(0, n - 1))},0,{n})"]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["step", "step", "step", "blank", "junk", "text"]))
+        if kind == "step":
+            src, field, dst = draw(_NUMBERS), draw(_FIELDS), draw(_NUMBERS)
+            w = [draw(_SPACES) for _ in range(6)]
+            lines.append(f"{w[0]}({w[1]}{src}{w[2]},{field},{w[3]}{dst}{w[4]}){w[5]}")
+        elif kind == "blank":
+            lines.append(draw(_SPACES))
+        elif kind == "junk":
+            lines.append(draw(_JUNK))
+        else:
+            lines.append(draw(st.text(max_size=6).filter(lambda t: len(f"<{t}>".splitlines()) == 1)))
+    breaks = [draw(_BREAKS) for _ in lines]
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+@settings(max_examples=500, deadline=None)
+@given(aut_texts(), st.sampled_from(["tau", "i"]), st.sampled_from([lts._BLOCK, 1, 3]))
+def test_parse_aut_reads_as_the_line_loop(text, silent, block):
+    # An equal LTS, or the same error text on the same line, whatever the
+    # blocks the body is read in.
+    with mock.patch.object(lts, "_BLOCK", block):
+        assert outcome(parse_aut, text, silent) == outcome(parse_aut_by_lines, text, silent)
 
 
 def test_render_round_trip(fixsr):
