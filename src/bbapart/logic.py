@@ -12,7 +12,9 @@ for conjuncts on the right of a diamond.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from itertools import islice
+from operator import and_, or_
 
 from .lts import (
     TAU,
@@ -398,7 +400,7 @@ def p_satisfies(l: Lts, p: int, f: PFormula) -> bool:
     the checker: it reads diamonds forward, from each state along silent
     steps, where :class:`SatEvaluator` searches backward from the
     label-preimage."""
-    return bool(_p_sat(l, f, {}) >> p & 1)
+    return bool(_p_sat(l, (f,))[0] >> p & 1)
 
 
 def _reach_inside(l: Lts, allowed: int) -> tuple:
@@ -415,39 +417,50 @@ def _reach_inside(l: Lts, allowed: int) -> tuple:
     return tuple(out)
 
 
-def _p_sat(l: Lts, f: PFormula, memo: dict) -> int:
-    """Satisfaction mask of ``f`` (bit ``p`` set when state ``p``
-    satisfies it); ``memo`` maps the identities of nodes to masks and may
-    be shared between calls on the same LTS while its nodes stay alive.
-    A diamond holds at p when p's forward silent reach inside the left
-    mask meets the states with a labelled step into the right mask; each
-    reach and successor table is computed once per LTS (:meth:`Lts.memo`)."""
-    full = (1 << l.n_states) - 1
+def _p_sat(l: Lts, formulas) -> list:
+    """The satisfaction mask of each P-formula in the sequence ``formulas``
+    (bit ``p`` set when state ``p`` satisfies it), in one walk that
+    evaluates each node once, children first, by an explicit stack.  A
+    diamond holds at p when p's forward silent reach inside the left mask
+    meets the states with a labelled step into the right mask; each reach
+    and successor table, and each diamond step, is computed once per LTS
+    (:meth:`Lts.memo`)."""
+    full, memo = (1 << l.n_states) - 1, {}
+    for root in formulas:
+        stack = [root]
+        while stack:
+            g = stack[-1]
+            if g in memo:
+                stack.pop()
+                continue
+            sub = _p_children(g)
+            missing = [c for c in sub if c not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            sub = [memo[c] for c in sub]
+            if isinstance(g, PDiamond):
+                neg = 1 + len(g.pos)  # where the negated conjuncts start
+                right = reduce(and_, sub[1:neg], full) & ~reduce(or_, sub[neg:], 0)
+                memo[g] = l.memo(_p_diamond, g.label, sub[0], right)
+            elif isinstance(g, (PAnd, POr)):
+                memo[g] = sub[0] & sub[1] if isinstance(g, PAnd) else sub[0] | sub[1]
+            elif isinstance(g, (PTop, PBot)):
+                memo[g] = full if isinstance(g, PTop) else 0
+            else:
+                raise TypeError(g)
+    return [memo[g] for g in formulas]
 
-    def build(g: PFormula, sub: list) -> int:
-        if isinstance(g, PTop):
-            return full
-        if isinstance(g, PBot):
-            return 0
-        if isinstance(g, PAnd):
-            return sub[0] & sub[1]
-        if isinstance(g, POr):
-            return sub[0] | sub[1]
-        if isinstance(g, PDiamond):
-            if not l.has_reflexive_silent_steps:
-                raise NonReflexiveLtsError("apply reflexive_closure first")
-            right = full
-            for m in sub[1:1 + len(g.pos)]:
-                right &= m
-            for m in sub[1 + len(g.pos):]:
-                right &= ~m
-            into = sum(1 << p for p, succ in
-                       enumerate(l.succ_masks(g.label)) if succ & right)
-            return sum(1 << p for p, reach in
-                       enumerate(l.memo(_reach_inside, sub[0])) if reach & into)
-        raise TypeError(g)
 
-    return _fold(f, _p_children, build, memo)
+def _p_diamond(l: Lts, label: ActionLabel, left: int, right: int) -> int:
+    """The mask of a diamond of left mask ``left`` and combined right mask
+    ``right`` (see :func:`_p_sat`), once per LTS and class: formulas of
+    equal masks share it."""
+    if not l.has_reflexive_silent_steps:
+        raise NonReflexiveLtsError("apply reflexive_closure first")
+    into = sum(1 << p for p, succ in enumerate(l.succ_masks(label)) if succ & right)
+    return sum(1 << p for p, reach in enumerate(l.memo(_reach_inside, left)) if reach & into)
 
 
 class DiamondWitness(HashConsed):

@@ -361,7 +361,9 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
     header = _HEADER.match(lines[0])
     if not header:
         raise AutParseError(f"malformed header: {lines[0]!r}", 1)
-    initial, _decl_trans, n_states = (int(g) for g in header.groups())
+    initial, _decl_trans, n_states = map(_number, header.groups())
+    if -1 in (initial, _decl_trans, n_states):
+        raise AutParseError("header number too long", 1)
     if n_states < 1:
         raise AutParseError("state count must be positive", 1)
     if initial >= n_states:
@@ -386,10 +388,10 @@ def parse_aut(text: str, silent_label: str = "tau") -> Lts:
             if rests[i] and not re.match(r'\(\s*\d+\s*,\s*"[^"]*$', line):
                 raise AutParseError(f"malformed transition: {line!r}", lineno)
             src, label, dst = ((0, None, 0) if rests[i] else
-                               (int(srcs[i]), labels[fields[i]], int(dsts[i])))
+                               (states[srcs[i]], labels[fields[i]], states[dsts[i]]))
             if label is None:
                 raise AutParseError(f"unterminated label: {line!r}", lineno)
-            if src >= n_states or dst >= n_states:
+            if not (0 <= src < n_states and 0 <= dst < n_states):
                 raise AutParseError(f"out-of-range state index in {line!r}", lineno)
             raise AutParseError(label, lineno)
         transitions.update(compress(zip(map(states.get, srcs), map(labels.get, fields),

@@ -181,13 +181,14 @@ def synthesis_violations(l: Lts) -> list:
 # Enumeration-gated logic suites
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=16)
 def _enumeration(actions: frozenset, depth: int) -> tuple:
     """``(g, embedding)`` per P-formula ``g`` enumerated over ``actions`` to
     ``depth``, in enumeration order: it depends on the alphabet alone, so
     it is built once per alphabet and kept, with the formulas' embeddings
-    and sort keys, for the last four alphabets (a campaign of two actions
-    has four; an entry takes 0.12 MB for two actions, 3.3 MB for six)."""
+    and sort keys, for the last sixteen alphabets (a campaign of four
+    actions has sixteen; an entry takes 0.12 MB for two actions, 0.64 MB
+    for four, 3.3 MB for six)."""
     return tuple((g, p_embed(g)) for g in enumerate_pformulas(actions, depth))
 
 
@@ -210,9 +211,11 @@ def tau_transfer_violations(l: Lts) -> list:
     full = (1 << closed.n_states) - 1
     # A silent step from outside the satisfying states into them breaks
     # backward transfer for the positive embedding, and forward transfer
-    # for its negation.
+    # for its negation: found once per distinct mask.
+    steps = {sat: [(p, p1) for p in _bits(full & ~sat) for p1 in _bits(silent[p] & sat)]
+             for sat in {sat for _, sat in enumeration}}
     return [{"formula": repr(g), "p": p, "pPrime": p1} for g, sat in enumeration
-            for p in _bits(full & ~sat) for p1 in _bits(silent[p] & sat)]
+            for p, p1 in steps[sat]]
 
 
 def simpler_diamond_violations(l: Lts) -> list:
@@ -220,29 +223,32 @@ def simpler_diamond_violations(l: Lts) -> list:
     semantics must coincide with the simpler two-step formulation
     (some silent-reachable delta-state with a step into a psi-state)."""
     closed, ev, enumeration = l.memo(_enum_context)
-    back = tau_closure(closed).back
+    sats = dict(enumeration)  # an enumerated diamond's left side is enumerated
     out = []
-    for g, sat in enumeration:
-        if not isinstance(g, PDiamond):
-            continue
-        f = p_embed(g)
-        right, succ = ev.mask(f.right), closed.succ_masks(g.label)
-        # The delta-states with a step into a psi-state, then every state
-        # silently reaching one of them.
-        target = sum(1 << p1 for p1 in _bits(ev.mask(f.left)) if succ[p1] & right)
-        simpler = _union(target, back)
-        out += [{"formula": repr(g), "p": p, "simpler": bool(simpler >> p & 1)}
-                for p in _bits(simpler ^ sat)]
+    for (g, f), (_, sat) in zip(_enumeration(l.visible_actions, ENUM_DEPTH), enumeration):
+        if isinstance(g, PDiamond):
+            simpler = closed.memo(_two_step, g.label, sats[g.left], ev.mask(f.right))
+            if simpler != sat:
+                out += [{"formula": repr(g), "p": p, "simpler": bool(simpler >> p & 1)}
+                        for p in _bits(simpler ^ sat)]
     return out
+
+
+def _two_step(l: Lts, label, left: int, right: int) -> int:
+    """The delta-states (``left``) with a ``label``-step into a psi-state
+    (``right``), then every state silently reaching one of them: once per
+    LTS and class of equal masks."""
+    succ = l.succ_masks(label)
+    return _union(sum(1 << p for p in _bits(left) if succ[p] & right), tau_closure(l).back)
 
 
 def p_embed_agreement_violations(l: Lts) -> list:
     """The direct P-formula evaluator and the HMLU checker applied to the
     embedding must agree everywhere."""
     closed, _, enumeration = l.memo(_enum_context)
-    psat: dict = {}  # the P-evaluator's own memo, shared across formulas
-    return [{"formula": repr(g), "p": p} for g, sat in enumeration
-            for p in _bits(_p_sat(closed, g, psat) ^ sat)]
+    masks = _p_sat(closed, [g for g, _ in enumeration])
+    return [{"formula": repr(g), "p": p} for (g, sat), psat in zip(enumeration, masks)
+            for p in _bits(psat ^ sat)]
 
 
 def modality_free_violations(l: Lts) -> list:
@@ -266,8 +272,11 @@ def good_formula_violations(l: Lts) -> list:
     rows = ap.directed_branching_apartness(l).rows
     closed, _, enumeration = l.memo(_enum_context)
     full = (1 << closed.n_states) - 1
+    # The separated pairs outside the relation, once per distinct mask.
+    pairs = {sat: [(p, q) for p in _bits(sat) for q in _bits(full & ~sat & ~rows[p])]
+             for sat in {sat for _, sat in enumeration}}
     return [{"formula": repr(g), "p": p, "q": q} for g, sat in enumeration
-            for p in _bits(sat) for q in _bits(full & ~sat & ~rows[p])]
+            for p, q in pairs[sat]]
 
 
 def characterization_violations(l: Lts) -> list:

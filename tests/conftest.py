@@ -3,8 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from bbapart.logic import FormulaParseError
-from bbapart.lts import TAU, ActionLabel, AutParseError, Lts, load_names, parse_aut
+from bbapart import apartness as ap
+from bbapart.logic import (FormulaParseError, PAnd, PBot, PDiamond, POr, PTop, _p_children,
+                           _reach_inside, p_embed)
+from bbapart.lts import (TAU, ActionLabel, AutParseError, Lts, NonReflexiveLtsError, _bits,
+                         _fold, _union, load_names, parse_aut, tau_closure)
+from bbapart.validate import _enum_context
 
 DATA = Path(__file__).parent / "data"
 
@@ -150,3 +154,79 @@ def outcome(read, *args):
         return "value", read(*args)
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
+
+
+# ---------------------------------------------------------------------------
+# The enumeration suites and the P-evaluator as they read before they worked
+# once per distinct mask or diamond class: one pass of each per formula.
+# The references of the per-class parity tests.
+
+
+def tau_transfer_violations_by_formula(l: Lts) -> list:
+    closed, _, enumeration = l.memo(_enum_context)
+    silent = closed.succ_masks(TAU)
+    full = (1 << closed.n_states) - 1
+    return [{"formula": repr(g), "p": p, "pPrime": p1} for g, sat in enumeration
+            for p in _bits(full & ~sat) for p1 in _bits(silent[p] & sat)]
+
+
+def simpler_diamond_violations_by_formula(l: Lts) -> list:
+    closed, ev, enumeration = l.memo(_enum_context)
+    back = tau_closure(closed).back
+    out = []
+    for g, sat in enumeration:
+        if not isinstance(g, PDiamond):
+            continue
+        f = p_embed(g)
+        right, succ = ev.mask(f.right), closed.succ_masks(g.label)
+        target = sum(1 << p1 for p1 in _bits(ev.mask(f.left)) if succ[p1] & right)
+        simpler = _union(target, back)
+        out += [{"formula": repr(g), "p": p, "simpler": bool(simpler >> p & 1)}
+                for p in _bits(simpler ^ sat)]
+    return out
+
+
+def good_formula_violations_by_formula(l: Lts) -> list:
+    rows = ap.directed_branching_apartness(l).rows
+    closed, _, enumeration = l.memo(_enum_context)
+    full = (1 << closed.n_states) - 1
+    return [{"formula": repr(g), "p": p, "q": q} for g, sat in enumeration
+            for p in _bits(sat) for q in _bits(full & ~sat & ~rows[p])]
+
+
+def p_sat_by_formula(l: Lts, f, memo: dict) -> int:
+    """The P-evaluator's mask of ``f``: one fold per call, and the
+    diamond step once per diamond node."""
+    full = (1 << l.n_states) - 1
+
+    def build(g, sub: list) -> int:
+        if isinstance(g, PTop):
+            return full
+        if isinstance(g, PBot):
+            return 0
+        if isinstance(g, PAnd):
+            return sub[0] & sub[1]
+        if isinstance(g, POr):
+            return sub[0] | sub[1]
+        if isinstance(g, PDiamond):
+            if not l.has_reflexive_silent_steps:
+                raise NonReflexiveLtsError("apply reflexive_closure first")
+            right = full
+            for m in sub[1:1 + len(g.pos)]:
+                right &= m
+            for m in sub[1 + len(g.pos):]:
+                right &= ~m
+            into = sum(1 << p for p, succ in
+                       enumerate(l.succ_masks(g.label)) if succ & right)
+            return sum(1 << p for p, reach in
+                       enumerate(l.memo(_reach_inside, sub[0])) if reach & into)
+        raise TypeError(g)
+
+    return _fold(f, _p_children, build, memo)
+
+
+def p_embed_agreement_violations_by_formula(l: Lts) -> list:
+    closed, _, enumeration = l.memo(_enum_context)
+    psat: dict = {}
+    return [{"formula": repr(g), "p": p} for g, sat in enumeration
+            for p in _bits(p_sat_by_formula(closed, g, psat) ^ sat)]

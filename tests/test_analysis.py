@@ -64,10 +64,10 @@ def test_kept_enumerations_change_no_report(cold_enumeration):
     # Each LTS is validated with the cache that the stream before it left,
     # and again, as a fresh LTS, after the cache is emptied.
     bound = validate._enumeration.cache_info().maxsize
-    three = list(campaign_instances(40, 3, max_states=validate.ENUM_STATE_LIMIT,
-                                    visible_actions=3))
-    assert len({random_lts(g).visible_actions for g in three}) > bound
-    for stream in (list(campaign_instances(56, 1)), three):
+    five = list(campaign_instances(40, 3, max_states=validate.ENUM_STATE_LIMIT,
+                                   visible_actions=5))
+    assert len({random_lts(g).visible_actions for g in five}) > bound
+    for stream in (list(campaign_instances(56, 1)), five):
         warm = [_validated(g) for g in stream]
         assert validate._enumeration.cache_info().currsize <= bound
         for g, expected in zip(stream, warm):

@@ -5,7 +5,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bbapart.cli import main
 from bbapart.logic import TOP, And, Diamond, Neg, format_formula
@@ -13,8 +13,10 @@ from bbapart.lts import TAU, ActionLabel
 
 MAX_STATES = 6
 
+LONG = "1" * 5000  # more digits than int() reads from text
 BAD_LINES = ['(0,"a b",1)', '(0,"a,1)', f'({MAX_STATES + 3},"a",0)', '(0,"",1)',
-             '(0,a"b,1)', "des (0,0,0)", "(0,1)", "garbage"]
+             '(0,a"b,1)', "des (0,0,0)", "(0,1)", "garbage", f'({LONG},"a",0)',
+             f"des (0,1,{LONG})"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 8) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -62,6 +64,8 @@ def cli_inputs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(cli_inputs())
+@example(("tau", f'des (0,1,2)\n({LONG},"a",0)\n'.encode(), None, "0", "1", "T"))
+@example(("tau", f'des (0,1,{LONG})\n(0,"a",0)\n'.encode(), None, "0", "1", "T"))
 def test_cli_exits_with_a_code_on_any_input(inputs):
     tau, aut, names, p, q, formula = inputs
     with tempfile.TemporaryDirectory() as tmp:

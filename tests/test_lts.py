@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbapart import lts
+from bbapart.cli import main
 from bbapart.generate import GenParams, random_lts
 from bbapart.logic import _reach_inside
 from bbapart.lts import (
@@ -63,6 +64,26 @@ def test_parse_errors_carry_line(text, line):
     with pytest.raises(AutParseError) as exc:
         parse_aut(text)
     assert exc.value.line == line
+
+
+_LONG = "1" * 5000  # more digits than int() reads from text
+
+
+@pytest.mark.parametrize("text, message", [
+    (f'des (0,1,2)\n({_LONG},"a",0)', f"line 2: out-of-range state index in '({_LONG},\"a\",0)'"),
+    (f'des (0,1,2)\n\n(0,"a",{_LONG})', f"line 3: out-of-range state index in '(0,\"a\",{_LONG})'"),
+    (f'des (0,1,{_LONG})\n(0,"a",0)', "line 1: header number too long"),
+    (f'des ({_LONG},1,2)', "line 1: header number too long"),
+    (f'des (0,{_LONG},2)', "line 1: header number too long"),
+])
+def test_an_over_long_number_is_a_parse_error(tmp_path, capsys, text, message):
+    with pytest.raises(AutParseError) as exc:
+        parse_aut(text)
+    assert str(exc.value) == message
+    path = tmp_path / "long.aut"
+    path.write_text(text)
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 # The step pattern whose lazy label backtracked quadratically on a line
