@@ -373,8 +373,8 @@ class Derivation(HashConsed):
         stack = [self]
         while stack:
             for c in stack.pop().children:
-                n = in_edges.get(id(c.sub), 0)
-                in_edges[id(c.sub)] = n + 1
+                n = in_edges.get(c.sub, 0)
+                in_edges[c.sub] = n + 1
                 if not n:
                     stack.append(c.sub)
         ids: dict = {}
@@ -382,11 +382,11 @@ class Derivation(HashConsed):
         stack = [(self, root)]
         while stack:
             node, out = stack.pop()
-            if id(node) in ids:
-                out["ref"] = ids[id(node)]
+            if node in ids:
+                out["ref"] = ids[node]
                 continue
-            if in_edges.get(id(node), 0) > 1:
-                out["id"] = ids[id(node)] = len(ids)
+            if in_edges.get(node, 0) > 1:
+                out["id"] = ids[node] = len(ids)
             out["conclusion"] = {"left": name(node.left),
                                  "right": name(node.right), "kind": "db"}
             out["witness"] = {"from": name(node.witness[0]),
@@ -448,8 +448,7 @@ def extract_derivation(l: Lts, rel: DirectedPairRelation, p: int, q: int,
             ChildStep(q1, q2, tag, d)
             for (q1, q2, tag, _), d in zip(assignment, subs)))
 
-    # One node per pair: nodes are keyed by the pair's value.
-    return _fold((p, q), premises, conclude, memo, key=tuple)
+    return _fold((p, q), premises, conclude, memo)
 
 
 def check_tau_extension(l: Lts, rel: DirectedPairRelation) -> list:

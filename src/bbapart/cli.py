@@ -29,6 +29,7 @@ from pathlib import Path
 
 from .apartness import InternalInvariantError
 from .distinguish import (
+    DIRECTION_LEFT,
     FormulaTooDeepError,
     NotDistinguishingError,
     pformula_from_hmlu,
@@ -190,6 +191,8 @@ def cmd_distinguish(args) -> int:
     formula = result["formula"]
     if args.simplify:
         formula = simplify(formula, l)
+        if verify_distinguishes(l, p_embed(formula), p, q).direction != DIRECTION_LEFT:
+            raise InternalInvariantError("simplified formula fails verification")
     return _emit({
         "apart": True,
         "formula": format_pformula(formula, silent_label=args.tau_label),

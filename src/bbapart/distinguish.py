@@ -29,7 +29,6 @@ from .logic import (
     SatEvaluator,
     PAnd,
     POr,
-    _by_id,
     _children,
     _compare_keys,
     _p_children,
@@ -118,9 +117,8 @@ def formula_from_derivation(l: Lts, d: Derivation,
     rightBwd-tagged ones.  The derivation is re-validated first.  Each
     node of the derivation DAG is validated and synthesised once, so time
     is linear in the DAG, not in the tree it unfolds to.  Pass the same
-    ``memo`` (a dict, from the identity of a node to its formula) to calls
-    on one LTS to share nodes between derivations; it is valid while
-    those nodes stay alive.
+    ``memo`` (a dict, from a node to its formula) to calls on one LTS to
+    share nodes between derivations.
     """
     closed = reflexive_closure(l)
     tc = tau_closure(closed)
@@ -203,7 +201,7 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
         raise NotDistinguishingError(
             f"formula does not distinguish states {p} and {q}")
     needed: dict = {}  # diamond -> mask of the satisfiers some pair reaches
-    candidates: dict = {}  # id of a diamond -> one entry per needed satisfier
+    candidates: dict = {}  # diamond -> one entry per needed satisfier
 
     def mask(g: PFormula) -> int:
         return ev.mask(p_embed(g))
@@ -234,7 +232,7 @@ def pformula_from_hmlu(l: Lts, phi: Formula, p: int, q: int) -> PFormula:
         for g, left, right in leaves([(f, left, right)]):
             # Each pair (r, s) takes delta-minus if s satisfies it, else
             # delta-plus if s fails that, else r's stage chain.
-            for r, minus, m_minus, plus, m_plus, chain in candidates[id(g)]:
+            for r, minus, m_minus, plus, m_plus, chain in candidates[g]:
                 if left >> r & 1:
                     if right & m_minus:
                         out.append(minus)
@@ -300,14 +298,26 @@ def _silent_stage(f: PFormula) -> bool:
             and canonical_key(f.left) is canonical_key(f.pos[0].left))
 
 
-def _structural_simplify(f: PFormula) -> PFormula:
-    """Unit laws, and the collapse of a silent stage whose delta-minus
-    matches the enclosing layer's.  That collapse depends on where a node
-    occurs, so the node's users apply it (to a positive conjunct against
-    its diamond's negated conjuncts, elsewhere against none)."""
-    def collapse(g: PFormula, incoming_neg: tuple) -> PFormula:
-        if _silent_stage(g) and (_by_id(map(canonical_key, g.neg))
-                                 == _by_id(map(canonical_key, incoming_neg))):
+def simplify(f: PFormula, l: Lts | None = None) -> PFormula:
+    """Drop unit conjuncts/disjuncts, repeated conjuncts and redundant
+    silent-step layers, in one bottom-up fold whose result is its own
+    simplification.
+
+    Per diamond: its negated conjuncts are simplified, kept once, and F
+    dropped; a positive conjunct that is a silent stage whose negated
+    conjuncts are the same set as the diamond's is replaced by its
+    continuation (elsewhere, a stage with no negated conjuncts is); then
+    the positive conjuncts are kept once and T dropped.  When an LTS is
+    supplied, the silent layers whose removal keeps the satisfaction set
+    on it are collapsed too (checked by re-evaluation).
+    """
+    ev = None if l is None else SatEvaluator.of(l)
+
+    def collapse(g: PFormula, neg: tuple = ()) -> PFormula:
+        # Sound as silent steps are reflexive: beside the conjuncts ~M,
+        # D<tau>(Psi & ~M) & ~M is Psi & ~M for Psi = D<a>X.
+        if _silent_stage(g) and ({canonical_key(h) for h in g.neg}
+                                 == {canonical_key(h) for h in neg}):
             return g.pos[0]
         return g
 
@@ -315,7 +325,7 @@ def _structural_simplify(f: PFormula) -> PFormula:
         if isinstance(g, (PTop, PBot)):
             return g
         if isinstance(g, (PAnd, POr)):
-            left, right = (collapse(h, ()) for h in sub)
+            left, right = map(collapse, sub)
             unit = PTop if isinstance(g, PAnd) else PBot
             if isinstance(left, unit):
                 return right
@@ -323,40 +333,14 @@ def _structural_simplify(f: PFormula) -> PFormula:
                 return left
             return type(g)(left, right)
         n_pos = len(g.pos)
-        neg = tuple(collapse(h, ()) for c, h in zip(g.neg, sub[1 + n_pos:])
-                    if not isinstance(c, PBot))
-        pos = tuple(collapse(h, neg) for c, h in zip(g.pos, sub[1:])
-                    if not isinstance(c, PTop))
-        return PDiamond(collapse(sub[0], ()), g.label, pos, neg)
-
-    return collapse(_fold(f, _p_children, build), ())
-
-
-def simplify(f: PFormula, l: Lts | None = None) -> PFormula:
-    """Drop unit conjuncts/disjuncts, repeated conjuncts and redundant
-    silent-step layers.
-
-    The structural pass runs first, over the whole formula.  A second fold
-    then keeps each diamond's conjuncts once (the structural collapse can
-    map distinct ones to one node) and, when an LTS is supplied, collapses
-    the silent layers whose removal keeps the satisfaction set on it
-    (checked by re-evaluation).  The two do not merge into one fold: the
-    structural collapse compares negated conjuncts as multisets, so it
-    would then fire on some deduplicated ones where it does not now.
-    """
-    ev = None if l is None else SatEvaluator.of(l)
-
-    def build(g: PFormula, sub: list) -> PFormula:
-        if isinstance(g, (PTop, PBot)):
-            return g
-        if isinstance(g, (PAnd, POr)):
-            return type(g)(*sub)
-        n_pos = len(g.pos)
-        out = PDiamond(sub[0], g.label, _dedup(sub[1:1 + n_pos]),
-                       _dedup(sub[1 + n_pos:]))
+        neg = tuple(h for h in _dedup(map(collapse, sub[1 + n_pos:]))
+                    if not isinstance(h, PBot))
+        pos = tuple(h for h in _dedup(collapse(h, neg) for h in sub[1:1 + n_pos])
+                    if not isinstance(h, PTop))
+        out = PDiamond(collapse(sub[0]), g.label, pos, neg)
         while (ev is not None and _silent_stage(out)
                and ev.mask(p_embed(out)) == ev.mask(p_embed(out.pos[0]))):
             out = out.pos[0]
         return out
 
-    return _fold(_structural_simplify(f), _p_children, build)
+    return collapse(_fold(f, _p_children, build))

@@ -148,29 +148,29 @@ def _union(x: int, masks) -> int:
     return out
 
 
-def _fold(root, children, build, memo=None, key=id):
+def _fold(root, children, build, memo=None):
     """Bottom-up evaluation over a DAG, by an explicit post-order walk.
 
     ``children(node)`` is called once per node, before any of its children
     is built; ``build(node, results)`` gets the children's results in the
-    same order.  Each node is built once per ``key`` (object identity by
-    default), so shared sub-terms cost nothing extra and depth is
-    unbounded.  Pass ``memo`` to share results between calls.
+    same order.  Each node is built once, keyed by the node itself (a
+    hash-consed node by identity, a tuple by value), so shared sub-terms
+    cost nothing extra and depth is unbounded.  Pass ``memo`` to share
+    results between calls.
     """
     memo = {} if memo is None else memo
     stack = [(root, None)]
     while stack:
         node, kids = stack.pop()
-        k = key(node)
-        if k in memo:
+        if node in memo:
             continue
         if kids is None:
             kids = children(node)
             stack.append((node, kids))
             stack.extend((c, None) for c in reversed(kids))
         else:
-            memo[k] = build(node, [memo[key(c)] for c in kids])
-    return memo[key(root)]
+            memo[node] = build(node, [memo[c] for c in kids])
+    return memo[root]
 
 
 def _mask(bits, n: int) -> int:
@@ -318,10 +318,14 @@ class Lts:
     def has_reflexive_silent_steps(self) -> bool:
         return all((p, TAU, p) in self.transitions for p in range(self.n_states))
 
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
     def memo(self, compute, *args):
         """``compute(self, *args)``, computed once per LTS and arguments: the
         one analysis of this LTS, shared by every caller, so never mutated."""
-        memo = self.__dict__.setdefault("_memo", {})
+        memo = self._memo
         key = (compute, *args)
         if key not in memo:
             memo[key] = compute(self, *args)

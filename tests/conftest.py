@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from bbapart import apartness as ap
-from bbapart.logic import (FormulaParseError, PAnd, PBot, PDiamond, POr, PTop, _p_children,
-                           _reach_inside, p_embed)
+from bbapart.distinguish import _dedup, _silent_stage
+from bbapart.logic import (FormulaParseError, PAnd, PBot, PDiamond, POr, PTop, SatEvaluator,
+                           _by_id, _p_children, _reach_inside, canonical_key, p_embed)
 from bbapart.lts import (TAU, ActionLabel, AutParseError, Lts, NonReflexiveLtsError, _bits,
                          _fold, _union, load_names, parse_aut, tau_closure)
 from bbapart.validate import _enum_context
@@ -230,3 +231,57 @@ def p_embed_agreement_violations_by_formula(l: Lts) -> list:
     psat: dict = {}
     return [{"formula": repr(g), "p": p} for g, sat in enumeration
             for p in _bits(p_sat_by_formula(closed, g, psat) ^ sat)]
+
+
+# ---------------------------------------------------------------------------
+# ``simplify`` as it read in two folds: the structural pass, then one that
+# keeps each conjunct once and makes the LTS-checked collapse.  Its result
+# is not always its own simplification; the reference of the one-fold
+# property tests, iterated to a fixpoint.
+
+
+def _structural_simplify_two_pass(f):
+    def collapse(g, incoming_neg: tuple):
+        if _silent_stage(g) and (_by_id(map(canonical_key, g.neg))
+                                 == _by_id(map(canonical_key, incoming_neg))):
+            return g.pos[0]
+        return g
+
+    def build(g, sub: list):
+        if isinstance(g, (PTop, PBot)):
+            return g
+        if isinstance(g, (PAnd, POr)):
+            left, right = (collapse(h, ()) for h in sub)
+            unit = PTop if isinstance(g, PAnd) else PBot
+            if isinstance(left, unit):
+                return right
+            if isinstance(right, unit):
+                return left
+            return type(g)(left, right)
+        n_pos = len(g.pos)
+        neg = tuple(collapse(h, ()) for c, h in zip(g.neg, sub[1 + n_pos:])
+                    if not isinstance(c, PBot))
+        pos = tuple(collapse(h, neg) for c, h in zip(g.pos, sub[1:])
+                    if not isinstance(c, PTop))
+        return PDiamond(collapse(sub[0], ()), g.label, pos, neg)
+
+    return collapse(_fold(f, _p_children, build), ())
+
+
+def simplify_two_pass(f, l: Lts | None = None):
+    ev = None if l is None else SatEvaluator.of(l)
+
+    def build(g, sub: list):
+        if isinstance(g, (PTop, PBot)):
+            return g
+        if isinstance(g, (PAnd, POr)):
+            return type(g)(*sub)
+        n_pos = len(g.pos)
+        out = PDiamond(sub[0], g.label, _dedup(sub[1:1 + n_pos]),
+                       _dedup(sub[1 + n_pos:]))
+        while (ev is not None and _silent_stage(out)
+               and ev.mask(p_embed(out)) == ev.mask(p_embed(out.pos[0]))):
+            out = out.pos[0]
+        return out
+
+    return _fold(_structural_simplify_two_pass(f), _p_children, build)

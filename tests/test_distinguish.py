@@ -38,17 +38,21 @@ from bbapart.logic import (
     canonical_key,
     diamond,
     diamond_witness,
+    enumerate_pformulas,
+    format_pformula,
     sort_key,
     p_and_all,
     p_embed,
     p_or_all,
     parse_formula,
 )
+from bbapart import cli
 from bbapart.cli import main
+from bbapart.generate import GenParams, random_lts
 from bbapart.lts import ActionLabel, Lts, TAU, reflexive_closure, render_aut
 from bbapart.validate import distinguish_pair
 
-from conftest import s
+from conftest import DATA, s, simplify_two_pass
 from test_kernel import ltss
 
 A, B, C, D, E = (ActionLabel(x) for x in "abcde")
@@ -398,3 +402,52 @@ def test_simplify_keeps_satisfaction_and_each_conjunct_once(l, f):
             if isinstance(g, PDiamond):
                 for side in (g.pos, g.neg):
                     assert len({canonical_key(h) for h in side}) == len(side)
+
+
+def _fixpoint(step, f):
+    while (g := step(f)) is not f:
+        f = g
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.floats(0.5, 1.5), st.integers(0, 2**32), st.integers(3, 12))
+def test_simplify_is_its_own_simplification(n, tau_density, seed, stride):
+    # On derivation formulas of apart pairs and on syntheses from enumerated
+    # formulas: one call reaches the fixpoint of the two-fold reference,
+    # and with the LTS the result still separates the pair.
+    l = random_lts(GenParams(n, seed=seed, tau_density=tau_density))
+    rel = directed_branching_apartness(l)
+    memo: dict = {}
+    cases = [(p, q, formula_from_derivation(l, extract_derivation(l, rel, p, q, memo)))
+             for p, q in sorted(rel.holds)]
+    ev = SatEvaluator.of(reflexive_closure(l))
+    for g in enumerate_pformulas(l.visible_actions, 2)[seed % stride::stride]:
+        m = ev.mask(p_embed(g))
+        sat = [m >> r & 1 for r in range(n)]
+        if 0 < sum(sat) < n:
+            p, q = sat.index(1), sat.index(0)
+            cases.append((p, q, pformula_from_hmlu(l, p_embed(g), p, q)))
+    for p, q, f in cases:
+        for lts in (None, l):
+            slim = simplify(f, lts)
+            assert simplify(slim, lts) is slim
+            assert slim is _fixpoint(lambda g: simplify_two_pass(g, lts), f)
+        assert verify_distinguishes(l, p_embed(slim), p, q).direction == "leftHolds"
+
+
+def test_simplify_reaches_its_fixpoint_in_one_call():
+    # The two folds left a silent stage here that only a second call removed.
+    l = random_lts(GenParams(10, seed=64, tau_density=1.0))
+    rel = directed_branching_apartness(l)
+    f = formula_from_derivation(l, extract_derivation(l, rel, 3, 6))
+    assert format_pformula(simplify_two_pass(f)) == "<tau> <b> ~<b> T"
+    assert format_pformula(simplify(f)) == "<b> ~<b> T"
+
+
+def test_cli_distinguish_simplify_checks_what_it_prints(capsys, monkeypatch):
+    aut = str(DATA / "fixsr.aut")
+    monkeypatch.setattr(cli, "simplify", lambda f, l: PTOP)
+    assert main(["distinguish", "--lts", aut, "--simplify", "0", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: ") and err.count("\n") == 1
