@@ -1,11 +1,12 @@
 """Command-line entry point: parse, check, distinguish, mc, convert,
 random, validate.
 
-The subcommands and their arguments are one table, ``_commands()``.  A
-command line in the strict form is read from that table with no
-``argparse`` import: ``argv[0]`` names a subcommand; each later token is
-an exact option string of it, the value after a value-taking option, or
-a positional; no value or positional starts with ``-``; each value
+The subcommands are one table of data, ``_COMMANDS``; each runs its
+``cmd_<name>``, looked up by name.  A command line in the strict form is
+read, with no ``argparse`` import, from the table's views built at
+import: ``argv[0]`` names a subcommand; each later token is an exact
+option string of it, the value after a value-taking option, or a
+positional; no value or positional starts with ``-``; each value
 converts by its entry's ``type`` and lies in its ``choices``; every
 required option and every positional is given.  Anything else goes to
 the full parser that ``build_parser`` builds from the same table, so
@@ -19,7 +20,6 @@ not distinguish"), 2 for usage, input-parse or output errors and for a
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import json
 import os
@@ -225,10 +225,12 @@ def cmd_convert(args) -> int:
     if not check.distinguishes:
         return _emit({"distinguishes": False,
                       "message": "formula does not distinguish the states"})
-    result = pformula_from_hmlu(l, f, p, q)
+    result = pformula_from_hmlu(l, f, p, q)  # checks what it returns
     if args.simplify:
         result = simplify(result, l)
     verified = verify_distinguishes(l, p_embed(result), p, q)
+    if not verified.distinguishes:
+        raise InternalInvariantError("simplified formula fails verification")
     return _emit({
         "distinguishes": True,
         "direction": check.direction,
@@ -278,61 +280,56 @@ def cmd_validate(args) -> int:
 
 # Arguments that several subcommands share, as ``(option strings,
 # settings)`` entries of the command table.
+_TAU_LABEL = (("--tau-label",), {"default": "tau", "choices": ["tau", "i"], "help": (
+    "token naming the silent action in .aut, formula and JSON text")})
+_NAMES = (("--names",), {"default": None,
+                         "help": "JSON sidecar mapping state indices to names"})
 _LTS = ((("--lts",), {"required": True, "help": "LTS in Aldebaran (.aut) format"}),
-        (("--tau-label",), {"default": "tau", "choices": ["tau", "i"],
-                            "help": "token naming the silent action in input files"}),
-        (("--names",), {"default": None,
-                        "help": "JSON sidecar mapping state indices to names"}))
-_TAU_LABEL = (("--tau-label",), {"default": "tau", "choices": ["tau", "i"]})
-_NAMES = (("--names",), {"default": None})
+        _TAU_LABEL, _NAMES)
 _FORMULA = (("--formula",), {"required": True})
 _SIMPLIFY = (("--simplify",), {"action": "store_true"})
 _PAIR = ((("p",), {}), (("q",), {}))
 _DENSITIES = ((("--vdensity",), {"type": float, "default": 1.5}),
               (("--tdensity",), {"type": float, "default": 0.7}))
 
-
-def _commands() -> dict:
-    """The command table: each subcommand's function, its help text and its
-    arguments, as ``(option strings, settings)`` entries for
-    ``add_argument``.  Built per call from the module's bindings, so that a
-    wrapped command function is the one that runs."""
-    return {
-        "parse": (cmd_parse, "parse an .aut file and print stats", (
-            (("lts",), {"metavar": "file"}), _TAU_LABEL, _NAMES)),
-        "check": (cmd_check, "apartness/bisimilarity of a state pair", (
-            *_LTS,
-            (("--kind",), {"required": True, "choices": KINDS}),
-            (("--nonreflexive",), {"action": "store_true", "help":
-                                   "the four-rule engine on the raw LTS (dbranching only)"}),
-            *_PAIR)),
-        "distinguish": (cmd_distinguish, "synthesize a distinguishing P-formula", (
-            *_LTS, _SIMPLIFY, *_PAIR)),
-        "mc": (cmd_mc, "model-check a formula at a state", (
-            *_LTS, (("--state",), {"required": True}), _FORMULA)),
-        "convert": (cmd_convert, "turn a distinguishing formula into a P-formula", (
-            *_LTS, _FORMULA, _SIMPLIFY, *_PAIR)),
-        "random": (cmd_random, "generate a seeded random LTS", (
-            (("--states",), {"type": int, "required": True}),
-            (("--actions",), {"type": int, "default": 2}),
-            *_DENSITIES,
-            (("--seed",), {"type": int, "default": 0}),
-            _TAU_LABEL,
-            (("-o", "--output"), {"default": None}))),
-        "validate": (cmd_validate, "run the cross-validation suites", (
-            (("--lts",), {"default": None}),
-            _TAU_LABEL,
-            _NAMES,
-            (("--campaign",), {"action": "store_true"}),
-            (("--count",), {"type": int, "default": 200}),
-            (("--seed",), {"type": int, "default": 0}),
-            (("--min-states",), {"type": int, "default": 2, "help":
-                                 "campaign: smallest LTS (sizes cycle up to --max-states)"}),
-            (("--max-states",), {"type": int, "default": 8}),
-            (("--actions",), {"type": int, "default": 2,
-                              "help": "campaign: visible actions per LTS"}),
-            *_DENSITIES)),
-    }
+# The command table: each subcommand's help text and its arguments, as
+# ``(option strings, settings)`` entries for ``add_argument``.  ``name`` runs
+# ``cmd_<name>``, looked up when it runs, so that a rebound function runs.
+_COMMANDS = {
+    "parse": ("parse an .aut file and print stats", (
+        (("lts",), {"metavar": "file"}), _TAU_LABEL, _NAMES)),
+    "check": ("apartness/bisimilarity of a state pair", (
+        *_LTS,
+        (("--kind",), {"required": True, "choices": KINDS}),
+        (("--nonreflexive",), {"action": "store_true", "help":
+                               "the four-rule engine on the raw LTS (dbranching only)"}),
+        *_PAIR)),
+    "distinguish": ("synthesize a distinguishing P-formula", (*_LTS, _SIMPLIFY, *_PAIR)),
+    "mc": ("model-check a formula at a state", (
+        *_LTS, (("--state",), {"required": True}), _FORMULA)),
+    "convert": ("turn a distinguishing formula into a P-formula", (
+        *_LTS, _FORMULA, _SIMPLIFY, *_PAIR)),
+    "random": ("generate a seeded random LTS", (
+        (("--states",), {"type": int, "required": True}),
+        (("--actions",), {"type": int, "default": 2}),
+        *_DENSITIES,
+        (("--seed",), {"type": int, "default": 0}),
+        _TAU_LABEL,
+        (("-o", "--output"), {"default": None}))),
+    "validate": ("run the cross-validation suites", (
+        (("--lts",), {"default": None}),
+        _TAU_LABEL,
+        _NAMES,
+        (("--campaign",), {"action": "store_true"}),
+        (("--count",), {"type": int, "default": 200}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--min-states",), {"type": int, "default": 2, "help":
+                             "campaign: smallest LTS (sizes cycle up to --max-states)"}),
+        (("--max-states",), {"type": int, "default": 8}),
+        (("--actions",), {"type": int, "default": 2,
+                          "help": "campaign: visible actions per LTS"}),
+        *_DENSITIES)),
+}
 
 
 def build_parser():
@@ -346,45 +343,45 @@ def build_parser():
         description="Apartness, bisimilarity, model checking, and "
                     "distinguishing-formula synthesis on finite LTSs.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help, entries) in _commands().items():
+    for name, (help, entries) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help)
         for flags, settings in entries:
             sub.add_argument(*flags, **settings)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=globals()["cmd_" + name])
     return parser
 
 
-@functools.cache
-def _options() -> dict:
-    """Per subcommand, its table entries read once: its defaults by dest,
-    each option string with its dest and settings, its positionals and its
-    required dests."""
-    table = {}
-    for name, (_, _, entries) in _commands().items():
-        defaults, options, positionals, required = table[name] = {}, {}, [], set()
-        for flags, settings in entries:
-            if not flags[0].startswith("-"):
-                positionals.append((flags[0], settings))
-                continue
-            # argparse's dest: the first long option string, else the first one
-            dest = next((f for f in flags if f.startswith("--")), flags[0])
-            dest = dest.lstrip("-").replace("-", "_")
-            options.update(dict.fromkeys(flags, (dest, settings)))
-            defaults[dest] = (False if settings.get("action") == "store_true"
-                              else settings.get("default"))
-            if settings.get("required"):
-                required.add(dest)
-    return table
+def _view(entries) -> tuple:
+    """A subcommand's table entries as the matcher reads them: its defaults
+    by dest, each option string with its dest and settings, its positionals
+    and its required dests."""
+    defaults, options, positionals, required = {}, {}, [], set()
+    for flags, settings in entries:
+        if not flags[0].startswith("-"):
+            positionals.append((flags[0], settings))
+            continue
+        # argparse's dest: the first long option string, else the first one
+        dest = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        options.update(dict.fromkeys(flags, (dest, settings)))
+        defaults[dest] = (False if settings.get("action") == "store_true"
+                          else settings.get("default"))
+        if settings.get("required"):
+            required.add(dest)
+    return defaults, options, positionals, required
+
+
+_VIEWS = {name: _view(entries) for name, (_, entries) in _COMMANDS.items()}
 
 
 def _command_args(argv):
     """The namespace that a parser of subcommand ``argv[0]`` alone would
     return for ``argv``, read from the command table, if ``argv`` has the
     strict form (see the module docstring); None otherwise.  The function
-    is looked up per call, like ``_commands()`` does."""
-    if not argv or argv[0] not in (table := _options()):
+    is looked up per call, as ``build_parser`` does."""
+    if not argv or argv[0] not in _VIEWS:
         return None
-    defaults, options, positionals, required = table[argv[0]]
+    defaults, options, positionals, required = _VIEWS[argv[0]]
     args, required = {"func": globals()["cmd_" + argv[0]], **defaults}, set(required)
     tokens, positionals = iter(argv[1:]), iter(positionals)
     for token in tokens:

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from bbapart import bisim
 from bbapart.bisim import (
     bisimilarity,
@@ -38,6 +40,11 @@ def test_directed_branching_fixpq(fixpq):
     rel = directed_branching_bisimilarity(fixpq)
     assert (s(fixpq, "p2"), s(fixpq, "p1")) in rel
     assert (s(fixpq, "p1"), s(fixpq, "p2")) not in rel
+
+
+def test_an_unknown_kind_is_refused(fix1):
+    with pytest.raises(KeyError, match="unknown bisimilarity kind: 'weak'"):
+        bisimilarity(fix1, "weak")
 
 
 def test_reflexive(fix1, fixsr, fixpq, fixg2):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import bbapart
@@ -118,15 +119,43 @@ def test_the_matcher_answers_only_the_strict_form(tmp_path):
                     "nonreflexive": False, "p": "0", "q": "5"}
 
 
-def test_the_matcher_reads_the_table_once_and_the_function_per_call(monkeypatch):
+def test_the_matcher_reads_the_table_once_and_the_function_per_call(monkeypatch, capsys):
+    for name, (help, entries) in cli._COMMANDS.items():
+        assert isinstance(help, str) and callable(getattr(cli, "cmd_" + name)), name
+        for flags, settings in entries:
+            if any(callable(v) and v not in (int, float) for v in settings.values()):
+                pytest.fail(f"{name} {flags}: a function in the table")
     argv = answered()[0]
-    assert cli._command_args(argv).func is cli.cmd_check  # the table is read by now
-    monkeypatch.setattr(cli, "_commands", lambda: pytest.fail("the table is read again"))
+    assert cli._command_args(argv).func is cli.cmd_check
+    calls = []
 
     def wrapped(args):  # as the benchmark's tracer rebinds a command
+        calls.append(args.kind)
         return cli.EXIT_OK
     monkeypatch.setattr(cli, "cmd_check", wrapped)
+    # Both readers: the matcher, and the full parser on an abbreviation.
+    assert main(argv) == cli.EXIT_OK
+    assert main([token.replace("--kind", "--kin") for token in argv]) == cli.EXIT_OK
+    assert calls == ["dbranching", "dbranching"]
+    assert capsys.readouterr() == ("", "")
+    monkeypatch.setattr(cli, "_COMMANDS", {})  # the matcher's views are built by now
     assert cli._command_args(argv).func is wrapped
+
+
+def test_shared_options_are_defined_once_with_help():
+    """``--tau-label`` and ``--names`` are one entry each, with one help
+    text, wherever a subcommand takes them."""
+    for option in ("--tau-label", "--names"):
+        found = {id(entry) for _, entries in cli._COMMANDS.values()
+                 for entry in entries if entry[0] == (option,)}
+        assert len(found) == 1, option
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if a.dest == "command").choices
+    for name in SUBCOMMANDS:
+        text = " ".join(subs[name].format_help().split())
+        assert "token naming the silent action in .aut, formula and JSON text" in text, name
+        assert ("JSON sidecar mapping state indices to names" in text) is (
+            name != "random"), name
 
 
 def _parsers_built(monkeypatch, argv) -> list:
@@ -224,7 +253,7 @@ def command_lines(draw) -> tuple:
     a noisy one may also leave out arguments, spell options as
     abbreviations or ``--opt=value``, take any value, or add a token."""
     name = draw(st.sampled_from(SUBCOMMANDS))
-    entries = cli._commands()[name][2]
+    entries = cli._COMMANDS[name][1]
     noise = draw(st.sampled_from([(), (), *((kind,) for kind in NOISE), NOISE]))
 
     def odd(kind) -> bool:
@@ -271,11 +300,10 @@ def command_lines(draw) -> tuple:
 def _argparse_args(name, argv):
     """The parse of ``argv`` by an ``ArgumentParser`` built from the table
     entries of subcommand ``name``, as a dict, or None on any message."""
-    func, _, entries = cli._commands()[name]
     parser = argparse.ArgumentParser(prog="bbapart " + name)
-    for flags, settings in entries:
+    for flags, settings in cli._COMMANDS[name][1]:
         parser.add_argument(*flags, **settings)
-    parser.set_defaults(func=func)
+    parser.set_defaults(func=getattr(cli, "cmd_" + name))
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
         try:

@@ -116,6 +116,13 @@ def test_formula_from_derivation_rejects_corruption(fixsr):
                          (ChildStep(c.q_prime, c.q_dprime, "rightFwd", c.sub),))
     with pytest.raises(InvalidDerivationError):
         formula_from_derivation(fixsr, bad_tag)
+    elsewhere = Derivation(d.left, d.right, (d.right, *d.witness[1:]), d.children)
+    with pytest.raises(InvalidDerivationError, match="witness starts at 5, "):
+        formula_from_derivation(fixsr, elsewhere)
+    unknown_tag = Derivation(d.left, d.right, d.witness, (
+        ChildStep(c.q_prime, c.q_dprime, "sideways", c.sub), *d.children[1:]))
+    with pytest.raises(InvalidDerivationError, match="unknown child tag 'sideways'"):
+        formula_from_derivation(fixsr, unknown_tag)
 
 
 def test_synthesis_sound_on_fixtures(fix1, fixsr, fixpq, fixg2):
@@ -449,5 +456,17 @@ def test_cli_distinguish_simplify_checks_what_it_prints(capsys, monkeypatch):
     aut = str(DATA / "fixsr.aut")
     monkeypatch.setattr(cli, "simplify", lambda f, l: PTOP)
     assert main(["distinguish", "--lts", aut, "--simplify", "0", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_cli_convert_simplify_checks_what_it_prints(capsys, monkeypatch):
+    # The result may separate the pair the other way round (p2, q1 gives
+    # rightHolds), but never in neither direction.
+    lts = ["--lts", str(DATA / "fixpq.aut"), "--names", str(DATA / "fixpq.names.json")]
+    argv = ["convert", *lts, "--formula", "((<a> T | ~<b> T) <c> T)", "--simplify",
+            "p2", "q1"]
+    monkeypatch.setattr(cli, "simplify", lambda f, l: PTOP)
+    assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("internal error: ") and err.count("\n") == 1

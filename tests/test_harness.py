@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bbapart
-from bbapart import apartness, bisim
+from bbapart import apartness, bisim, validate
 from bbapart.cli import main
 from bbapart.distinguish import pformula_from_hmlu, simplify
 from bbapart.generate import GenParams, campaign_instances, random_lts
@@ -151,6 +151,19 @@ def test_run_campaign_small():
     assert report.ok
     assert {e["name"] for e in report.entries} >= {
         "duality-strong", "synthesis-soundness", "tau-extension"}
+
+
+def test_run_campaign_records_the_first_failing_instance(monkeypatch):
+    # Sizes cycle 2, 3, 4, 2, ...: the 3- and 4-state instances fail.
+    monkeypatch.setattr(validate, "modality_free_violations",
+                        lambda l: [{"state": 0}] * (l.n_states - 2))
+    report = run_campaign(count=4, seed=5, max_states=4)
+    first = list(campaign_instances(4, 5, max_states=4))[1]
+    assert not report.ok
+    assert next(e for e in report.entries if e["name"] == "modality-free-constant") == {
+        "name": "modality-free-constant", "status": "fail",
+        "counterexample": {"state": 0, "violationCount": 1, "seed": first.seed,
+                           "nStates": 3}}
 
 
 def test_check_pair_fixsr(fixsr):
@@ -535,6 +548,11 @@ def test_cli_validate_campaign_options(capsys):
     assert main(["validate", "--campaign", "--min-states", "4",
                  "--max-states", "3"]) == 2
     capsys.readouterr()
+
+
+def test_cli_validate_needs_an_lts_or_a_campaign(capsys):
+    assert main(["validate"]) == 2
+    assert capsys.readouterr() == ("", "error: validate needs --lts or --campaign\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -166,6 +166,8 @@ def test_diamond_witness_fixpq(fixpq):
 def test_diamond_witness_absent(fixsr):
     closed = reflexive_closure(fixsr)
     assert diamond_witness(closed, s(fixsr, "r"), diamond(D, TOP), C, TOP) is None
+    # s4 is outside the left side <d> T.
+    assert diamond_witness(closed, s(fixsr, "s4"), diamond(D, TOP), C, TOP) is None
 
 
 def test_enumerate_depth0():
@@ -260,10 +262,20 @@ def test_parse_or_desugars():
     assert parse_formula("(T | F)") == f_or(TOP, BOT)
 
 
+def test_formula_to_json_writes_a_negation():
+    top = {"type": "top"}
+    assert formula_to_json(parse_formula("(~<a> T <tau> T)")) == {
+        "type": "diamond", "label": "tau", "right": top,
+        "left": {"type": "neg", "child": {"type": "diamond", "left": top, "label": "a",
+                                          "right": top}}}
+
+
 def test_parse_errors():
     for text in ["", "(T &", "T T", "(T ? F)", "<a>", "(T <a F)"]:
         with pytest.raises(FormulaParseError):
             parse_formula(text)
+    with pytest.raises(FormulaParseError, match=r"expected '&', '\|' or '<', found 'T'"):
+        parse_formula("(T T)")
 
 
 # Formula text: the grammar's tokens, quoted labels (closed or not),

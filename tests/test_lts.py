@@ -66,6 +66,16 @@ def test_parse_errors_carry_line(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty input, expected des header"),
+    ("des (0,0,0)", "line 1: state count must be positive"),
+])
+def test_parse_errors_name_the_fault(text, message):
+    with pytest.raises(AutParseError) as exc:
+        parse_aut(text)
+    assert str(exc.value) == message
+
+
 _LONG = "1" * 5000  # more digits than int() reads from text
 
 
