@@ -1,14 +1,15 @@
 """Greatest-fixpoint bisimilarity oracles.
 
 Deliberately naive relation refinement (start from the full relation,
-delete violating pairs until stable): the point is an algorithm that is
-structurally independent of the apartness engines, so that the duality
-cross-checks are meaningful.  Each oracle runs once per LTS.
+delete violating pairs until stable), on rows[p] and cols[q], the masks of
+the q and p with (p, q) held: an algorithm structurally independent of the
+apartness engines, so that the duality cross-checks are meaningful.  Each
+oracle runs once per LTS.
 """
 
 from __future__ import annotations
 
-from .lts import HashConsed, Lts, per_lts, reflexive_closure, tau_closure
+from .lts import HashConsed, Lts, _bits, per_lts, reflexive_closure, tau_closure
 
 
 class BisimRelation(HashConsed):
@@ -20,49 +21,66 @@ class BisimRelation(HashConsed):
 
 
 def _refine(n: int, clause, symmetric: bool, order=None) -> BisimRelation:
-    rel = {(p, q) for p in range(n) for q in range(n)}
-    pairs = order if order is not None else sorted(rel)
+    # A symmetric relation's columns are its rows: a deletion clears both pairs.
+    rows = [(1 << n) - 1] * n
+    cols = rows if symmetric else list(rows)
+    pairs = order if order is not None else [(p, q) for p in range(n) for q in range(n)]
     changed = True
     while changed:
         changed = False
         for p, q in pairs:
-            if (p, q) not in rel:
-                continue
-            ok = clause(p, q, rel)
-            if ok and symmetric:
-                ok = clause(q, p, rel)
-            if not ok:
-                rel.discard((p, q))
-                if symmetric:
-                    rel.discard((q, p))
+            if rows[p] >> q & 1 and not (clause(p, q, rows, cols) and
+                                         (not symmetric or clause(q, p, rows, cols))):
+                rows[p] &= ~(1 << q)
+                cols[q] &= ~(1 << p)
                 changed = True
-    return BisimRelation(n, frozenset(rel))
+    return BisimRelation(n, frozenset((p, q) for p in range(n) for q in _bits(rows[p])))
+
+
+def _steps(l: Lts) -> list:
+    """Per state, its steps: (the label's successor masks, target, silent?)."""
+    return [[(l.succ_masks(label), p1, label.silent) for label, p1 in l.out(p)]
+            for p in range(l.n_states)]
 
 
 def _strong_clause(l: Lts):
-    def clause(p, q, rel):
-        return all(any((p1, q1) in rel for q1 in l.succ(q, label))
-                   for label, p1 in l.out(p))
+    steps = _steps(l)
+
+    def clause(p, q, rows, cols):
+        for masks, p1, _ in steps[p]:
+            if not masks[q] & rows[p1]:
+                return False
+        return True
     return clause
 
 
 def _dstrong_clause(l: Lts):
-    def clause(p, q, rel):
-        return all(any((p1, q1) in rel and (q1, p1) in rel
-                       for q1 in l.succ(q, label))
-                   for label, p1 in l.out(p))
+    steps = _steps(l)
+
+    def clause(p, q, rows, cols):
+        for masks, p1, _ in steps[p]:
+            if not masks[q] & rows[p1] & cols[p1]:
+                return False
+        return True
     return clause
 
 
 def _branching_clause(l: Lts):
-    tc = tau_closure(l)
+    steps, forward = _steps(l), tau_closure(l).forward
 
-    def clause(p, q, rel):
-        for label, p1 in l.out(p):
-            if label.silent and (p1, q) in rel:
+    def clause(p, q, rows, cols):
+        reach = forward[q] & rows[p]  # the q1 with q ->>tau q1 and (p, q1) held
+        for masks, p1, silent in steps[p]:
+            target = rows[p1]
+            if silent and target >> q & 1:
                 continue
-            if not any((p, q1) in rel and (p1, q2) in rel
-                       for q1, q2 in tc.triples(q, label)):
+            x = reach
+            while x:  # some q1 in reach with a step into target
+                low = x & -x
+                if masks[low.bit_length() - 1] & target:
+                    break
+                x ^= low
+            else:
                 return False
         return True
     return clause
@@ -70,13 +88,21 @@ def _branching_clause(l: Lts):
 
 def _dbranching_clause(l: Lts):
     l = reflexive_closure(l)
-    tc = tau_closure(l)
+    steps, forward = _steps(l), tau_closure(l).forward
 
-    def clause(p, q, rel):
-        return all(
-            any((p, q1) in rel and (p1, q2) in rel and (q2, p1) in rel
-                for q1, q2 in tc.triples(q, label))
-            for label, p1 in l.out(p))
+    def clause(p, q, rows, cols):
+        reach = forward[q] & rows[p]
+        for masks, p1, _ in steps[p]:
+            target = rows[p1] & cols[p1]
+            x = reach
+            while x:
+                low = x & -x
+                if masks[low.bit_length() - 1] & target:
+                    break
+                x ^= low
+            else:
+                return False
+        return True
     return clause
 
 
@@ -122,7 +148,9 @@ def refine_once_violations(l: Lts, kind: str, rel: BisimRelation) -> list:
     """Pairs a further deletion pass would remove; empty iff ``rel`` is a
     bisimulation of its kind."""
     _, make_clause, symmetric = _ENGINES[kind]
-    clause, held = make_clause(l), rel.holds
-    return [(p, q) for p, q in sorted(held)
-            if not clause(p, q, held) or (symmetric and not clause(q, p, held))]
-
+    clause, rows, cols = make_clause(l), [0] * rel.n_states, [0] * rel.n_states
+    for p, q in rel.holds:
+        rows[p] |= 1 << q
+        cols[q] |= 1 << p
+    return [(p, q) for p, q in sorted(rel.holds)
+            if not clause(p, q, rows, cols) or (symmetric and not clause(q, p, rows, cols))]

@@ -260,6 +260,8 @@ def cmd_random(args) -> int:
 
 def cmd_validate(args) -> int:
     if args.campaign:
+        if args.lts is not None or args.names is not None:
+            raise CliError("--campaign generates its LTSs: it takes no --lts or --names")
         if args.count < 1:
             raise CliError("--count must be at least 1")
         params = dict(min_states=args.min_states, max_states=args.max_states,

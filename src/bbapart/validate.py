@@ -70,12 +70,12 @@ def _differences(rows: tuple, others: tuple) -> list:
 
 def duality_violations(l: Lts, kind: str) -> list:
     """Pairs where apartness and bisimilarity of the same kind agree
-    (they must be exact complements)."""
-    apart = _APART_ENGINES[kind](l)
-    bisim_rel = bs.bisimilarity(l, kind)
-    return [{"kind": kind, "p": p, "q": q, "apart": (p, q) in apart}
-            for p, q in _pairs(l.n_states)
-            if ((p, q) in apart) == ((p, q) in bisim_rel)]
+    (they must be exact complements), compared row by row."""
+    complement = [(1 << l.n_states) - 1] * l.n_states
+    for p, q in bs.bisimilarity(l, kind).holds:
+        complement[p] ^= 1 << q
+    return [{"kind": kind, "p": p, "q": q, "apart": held}
+            for p, q, held in _differences(_APART_ENGINES[kind](l).rows, complement)]
 
 
 def symmetric_closure_violations(l: Lts, branching: bool = True) -> list:

@@ -555,6 +555,17 @@ def test_cli_validate_needs_an_lts_or_a_campaign(capsys):
     assert capsys.readouterr() == ("", "error: validate needs --lts or --campaign\n")
 
 
+@pytest.mark.parametrize("given", [["--lts", "/nonexistent.aut"],
+                                   ["--names", str(DATA / "fixpq.names.json")],
+                                   ["--lts", str(DATA / "fixpq.aut")]])
+def test_cli_validate_campaign_rejects_an_lts_or_names(capsys, given):
+    # A campaign generates its own LTSs; a file given with it would be
+    # ignored, and a run that reports ok would not have read it.
+    assert main(["validate", "--campaign", "--count", "1", *given]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --campaign generates its LTSs: it takes no --lts or --names\n")
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_cli_validate_campaign_rejects_a_count_below_one(capsys, count):
     assert main(["validate", "--campaign", "--count", count]) == 2
